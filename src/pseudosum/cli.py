@@ -2,7 +2,9 @@
 
 One binary, subcommand style.  All documents are JSON; numeric output is
 serialized with 12 significant digits and carries a top-level schema
-version.  Exit codes: 0 success, 1 invalid input, 2 usage error.
+version.  Exit codes: 0 success, 1 invalid input or a failed computation
+(out of memory, internal error), 2 usage error; exit 1 prints one line to
+stderr.
 """
 
 from __future__ import annotations
@@ -88,14 +90,14 @@ def _load_lut(args) -> LutTable:
             n = int(m.group(2))
             return make_mod_lut(n) if m.group(1) == "mod" else make_max_lut(n)
         if gen.startswith("perm:"):
-            return make_cyclic_lut_from_file(gen[len("perm:") :])
+            return _cyclic_lut_from_file(gen[len("perm:") :])
         raise ValidityError(
             f"unknown generator {gen!r}; expected modN, maxN, or perm:FILE"
         )
     raise ValidityError("no table given; use --lut FILE or --gen SPEC")
 
 
-def make_cyclic_lut_from_file(path: str) -> LutTable:
+def _cyclic_lut_from_file(path: str) -> LutTable:
     perm = Permutation.from_json(_read_json(path))
     return make_cyclic_lut(perm.n, perm)
 
@@ -330,6 +332,14 @@ _COMMANDS = {
 }
 
 
+def _fail(command: str, kind: str, exc: BaseException) -> int:
+    """Print `kind: exc` as one line on stderr and return exit code 1."""
+    detail = " ".join(str(exc).split())
+    msg = f"{kind}: {detail}" if kind and detail else kind or detail
+    print(f"pseudosum {command}: {msg}", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -337,11 +347,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        doc = _COMMANDS[args.command](args)
+        _emit(_COMMANDS[args.command](args), getattr(args, "out", None))
     except (ValidityError, OSError) as exc:
-        print(f"pseudosum {args.command}: {exc}", file=sys.stderr)
-        return 1
-    _emit(doc, getattr(args, "out", None))
+        return _fail(args.command, "", exc)
+    except MemoryError as exc:
+        return _fail(args.command, "out of memory", exc)
+    except RuntimeError as exc:
+        return _fail(args.command, "internal error", exc)
     return 0
 
 

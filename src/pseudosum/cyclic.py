@@ -153,7 +153,10 @@ def make_cyclic_lut(n: int, s: Permutation | None = None) -> LutTable:
         raise ValidityError("n must be >= 1")
     s = _ident(s, n)
     grid = (s.s[:, None] + s.s[None, :]) % n
-    return LutTable(Alphabet.canonical(n), s.inv[grid])
+    lut = LutTable(Alphabet.canonical(n), s.inv[grid])
+    # a relabeled Z_n is an abelian group: nothing needs to re-derive that
+    lut._assoc = lut._comm = True
+    return lut
 
 
 def make_mod_lut(n: int) -> LutTable:

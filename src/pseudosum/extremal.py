@@ -53,7 +53,9 @@ def make_max_lut(n: int) -> LutTable:
     if n < 1:
         raise ValidityError("n must be >= 1")
     idx = np.arange(n)
-    return LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
+    lut = LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
+    lut._assoc = lut._comm = True  # max is associative and commutative
+    return lut
 
 
 def max_convolve(p: Distribution, q: Distribution) -> Distribution:

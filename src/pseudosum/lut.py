@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ValidityError
 
+_ASSOC_BLOCK = 1 << 20  # triples compared per block by check_associative
+
 
 class Alphabet:
     """Ordered list of N pairwise-distinct real values, indexed 0..N-1."""
@@ -55,8 +57,10 @@ class LutTable:
         tab.setflags(write=False)
         self.alphabet = alphabet
         self.table = tab
-        self._assoc: bool | None = None  # memoized by is_associative
-        self._comm: bool | None = None  # memoized by is_commutative
+        # memoized by is_associative / is_commutative; set up front by
+        # make_cyclic_lut and make_max_lut, whose tables are so by construction
+        self._assoc: bool | None = None
+        self._comm: bool | None = None
 
     @property
     def n(self) -> int:
@@ -102,15 +106,25 @@ def apply(lut: LutTable, i: int, j: int) -> int:
 
 def check_associative(lut: LutTable) -> tuple[int, int, int] | None:
     """None when A(i, A(j,k)) == A(A(i,j), k) holds for all triples, else the
-    lexicographically smallest failing (i, j, k)."""
-    t = lut.table
-    left = t[:, t]   # left[i, j, k] = t[i, t[j, k]]
-    right = t[t, :]  # right[i, j, k] = t[t[i, j], k]
-    bad = np.argwhere(left != right)
-    if bad.size == 0:
-        return None
-    i, j, k = bad[0]  # argwhere yields row-major = lexicographic order
-    return int(i), int(j), int(k)
+    lexicographically smallest failing (i, j, k).
+
+    Scans blocks of rows i in order and returns at the first block holding a
+    failure, so working memory is O(block + N^2), not O(N^3).
+    """
+    n = lut.n
+    t = lut.table.astype(np.min_scalar_type(n - 1))
+    rows = max(1, _ASSOC_BLOCK // (n * n))
+    for lo in range(0, n, rows):
+        blk = t[lo : lo + rows]
+        # bad[i, j, k]: t[lo+i, t[j, k]] != t[t[lo+i, j], k].  np.take, not
+        # blk[:, t]: with numpy 2.4 on a Xeon the latter ran 2-4x slower at
+        # 2-8 rows per block, np.take at an even pace for every height.
+        bad = np.take(blk, t, axis=1) != t[blk]
+        first = bad.argmax()  # row-major = lexicographic order
+        if bad.flat[first]:
+            i, j, k = np.unravel_index(first, bad.shape)
+            return lo + int(i), int(j), int(k)
+    return None
 
 
 def is_associative(lut: LutTable) -> bool:

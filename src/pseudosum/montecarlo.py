@@ -51,16 +51,17 @@ def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return (z >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
+def _inverse_cdf(cdf: np.ndarray, u):
+    """The smallest k with cdf[k] > u, for each u; clamped to the last index
+    for u the rounded total mass does not exceed."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
 def sample_index(p: Distribution, u: float) -> int:
     """Inverse-CDF draw: the smallest k whose cumulative mass exceeds u."""
     if not 0.0 <= u < 1.0:
         raise ValidityError(f"u must lie in [0, 1), got {u!r}")
-    acc = 0.0
-    for k, w in enumerate(p.p):
-        acc += w
-        if u < acc:
-            return k
-    return p.n - 1
+    return int(_inverse_cdf(np.cumsum(p.p), u))
 
 
 def empirical_fold(
@@ -89,9 +90,7 @@ def empirical_fold(
         with np.errstate(over="ignore"):
             counters = trial_ids[:, None] * _U64(m) + np.arange(m, dtype=np.uint64)
         u = _uniforms(cfg.seed, counters)
-        idx = np.minimum(
-            np.searchsorted(cdf, u.ravel(), side="right").reshape(u.shape), n - 1
-        )
+        idx = _inverse_cdf(cdf, u)
         acc = idx[:, 0]
         for j in range(1, m):
             acc = table[acc, idx[:, j]]

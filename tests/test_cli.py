@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from pseudosum import make_mod_lut
+from pseudosum import cli
 from pseudosum.cli import main
 
 
@@ -193,6 +194,35 @@ def test_exit_codes(tmp_path, capsys):
     # --help -> 0
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 8.00 GiB for an array"),
+         "out of memory: Unable to allocate 8.00 GiB for an array"),
+        (MemoryError(), "out of memory"),
+        (RuntimeError("spectral cross-check\ndisagrees"), "internal error: spectral cross-check disagrees"),
+    ],
+)
+def test_resource_and_internal_errors_exit_1_with_one_line(monkeypatch, capsys, exc, message):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "power", fail)
+    assert main(["power", "--gen", "mod2", "p.json", "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"pseudosum power: {message}"]
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "res.json"
+    assert main(["check", "--gen", "mod2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("pseudosum check: ")
 
 
 def test_module_entry_point(tmp_path):

@@ -96,6 +96,15 @@ def test_power_m_zero_and_non_associative():
         limit(non_assoc, Distribution.uniform(2))
 
 
+def test_power_at_n1024_matches_fft():
+    # mod-1024 is marked associative at construction, so power runs no
+    # (N, N, N) check; circular convolution powers are spectrum powers
+    n, m = 1024, 5
+    p = Distribution(np.random.default_rng(59).dirichlet(np.ones(n)))
+    want = Distribution(np.clip(np.fft.ifft(np.fft.fft(p.p) ** m).real, 0.0, None))
+    assert tv_distance(power(make_mod_lut(n), p, m), want) <= 1e-12
+
+
 def test_tv_distance():
     p = Distribution([0.75, 0.25])
     assert tv_distance(p, p) == 0.0

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pseudosum.lut as lut_module
 from pseudosum import (
     Alphabet,
     Distribution,
@@ -16,6 +19,7 @@ from pseudosum import (
     make_max_lut,
     make_mod_lut,
     Permutation,
+    power,
     verify_left_subtraction,
 )
 
@@ -76,6 +80,100 @@ def test_check_associative_matches_naive_on_random_tables():
             table = rng.integers(0, n, size=(n, n))
             lut = LutTable(Alphabet.canonical(n), table)
             assert check_associative(lut) == naive_first_assoc_failure(table.tolist())
+
+
+def _cyclic_max_product(k, l):
+    """Z_k x ({0..l-1}, max), element (a, b) at index a*l + b: associative."""
+    a, b = np.divmod(np.arange(k * l), l)
+    return ((a[:, None] + a[None, :]) % k) * l + np.maximum.outer(b, b)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_check_associative_blocks_match_naive_on_perturbed_tables(monkeypatch, rows):
+    # Associative tables with one cell changed in the lower-right quadrant
+    # can first fail in a late row (the max and product tables do), so the
+    # scan must cross blocks; random tables almost always fail at i = 0.
+    rng = np.random.default_rng(57)
+    bases = []
+    for n in range(5, 17):
+        bases.append(make_cyclic_lut(n, Permutation(rng.permutation(n))).table)
+        bases.append(make_max_lut(n).table)
+    for k, l in ((2, 4), (3, 4), (3, 5), (4, 3), (2, 7)):
+        bases.append(_cyclic_max_product(k, l))
+    late = 0
+    for base in bases:
+        n = len(base)
+        monkeypatch.setattr(lut_module, "_ASSOC_BLOCK", rows * n * n)
+        for _ in range(12):
+            table = np.array(base)
+            r, c = rng.integers(n // 2, n, size=2)
+            table[r, c] = (table[r, c] + rng.integers(1, n)) % n
+            want = naive_first_assoc_failure(table.tolist())
+            assert check_associative(LutTable(Alphabet.canonical(n), table)) == want
+            late += want is not None and want[0] >= rows
+    assert late >= 40
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_check_associative_first_failure_on_block_boundaries(monkeypatch, rows):
+    # In max_n with (n-1) (+) (n-1) set to v < n-2, triples with i <= v still
+    # hold and the first failure is (v+1, n-1, n-1): v picks the failing row.
+    n = 14
+    monkeypatch.setattr(lut_module, "_ASSOC_BLOCK", rows * n * n)
+    for v in range(n - 2):
+        table = np.array(make_max_lut(n).table)
+        table[n - 1, n - 1] = v
+        want = (v + 1, n - 1, n - 1)
+        assert naive_first_assoc_failure(table.tolist()) == want
+        assert check_associative(LutTable(Alphabet.canonical(n), table)) == want
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_associative_memory_is_bounded():
+    # (N, N, N) index arrays would take 8 GiB at N = 1024 and 1 GiB at 512
+    n = 1024
+    table = np.array(make_mod_lut(n).table)
+    table[0, 700] = 3
+    lut = LutTable(Alphabet.canonical(n), table)
+    want = naive_first_assoc_failure(table.tolist())
+    got, peak = _traced_peak(check_associative, lut)
+    assert got == want == (0, 1, 699)
+    assert peak < 64 * 2**20
+    # an associative table without structure marks: the scan visits every block
+    n = 512
+    lut = LutTable(Alphabet.canonical(n), make_mod_lut(n).table)
+    got, peak = _traced_peak(check_associative, lut)
+    assert got is None
+    assert peak < 64 * 2**20
+
+
+def test_structure_marks_agree_with_checks(monkeypatch):
+    rng = np.random.default_rng(58)
+    luts = []
+    for n in range(1, 13):
+        luts.append(make_max_lut(n))
+        luts += [make_cyclic_lut(n, Permutation(rng.permutation(n))) for _ in range(5)]
+    for lut in luts:
+        # marked at construction, before any check ran
+        assert lut._assoc is True and lut._comm is True
+        assert check_associative(lut) is None
+        assert check_commutative(lut) is None
+
+    # power on a marked table never runs the scan
+    def no_scan(lut):
+        raise AssertionError("check_associative called on a marked table")
+
+    monkeypatch.setattr(lut_module, "check_associative", no_scan)
+    for lut in (make_mod_lut(6), make_max_lut(6)):
+        assert power(lut, Distribution.uniform(6), 3).n == 6
 
 
 def test_counterexample_reproduces_inequality():

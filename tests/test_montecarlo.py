@@ -27,6 +27,8 @@ def test_sample_index_examples():
     assert sample_index(Distribution([0.5, 0.5]), 0.7) == 1
     assert sample_index(Distribution([0.25, 0.75]), 0.25) == 1  # boundary goes up
     assert sample_index(Distribution([0.25, 0.75]), 0.2499999) == 0
+    # rounded total mass 0.9999999999999999 <= u: the last index, not n
+    assert sample_index(Distribution([0.1] * 10), 0.9999999999999999) == 9
     with pytest.raises(ValidityError):
         sample_index(Distribution([0.5, 0.5]), 1.0)
 
