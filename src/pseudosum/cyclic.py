@@ -5,13 +5,15 @@ The table is modular addition conjugated by a permutation s:
 law gets a characteristic function (the DFT of the relabeled probability
 vector), multiplicative under convolution, which drives everything here:
 stable laws are exactly the uniform laws on subgroups (pushed through s_inv),
-domains of attraction are read off the spectrum, and infinitely divisible
+a law is attracted iff its relabeled support lies in the subgroup generated
+by the support's pairwise differences (a gcd rule), and infinitely divisible
 laws factor as shift (+) subgroup-uniform (+) compound Poisson.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .dist import Distribution, convolve, power, tv_distance
 from .lut import Alphabet, LutTable
 
 ZERO_EPS = 1e-9    # |spectrum value| at or below this counts as a true zero
-_MASS_EPS = 1e-12  # probability-mass comparisons against 0 and 1
+_MASS_EPS = 1e-12  # a point mass at or below this counts as absent from a support
 _COMBO_CAP = 65536  # exhaustive log-branch search bound; heuristic beyond
 
 
@@ -29,7 +31,7 @@ class Permutation:
     """A bijection s of 0..n-1 together with its inverse."""
 
     def __init__(self, s):
-        arr = np.asarray(s, dtype=np.intp)
+        arr = np.array(s, dtype=np.intp)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size < 1:
             raise ValidityError("permutation must be a non-empty 1-d sequence")
         if not np.array_equal(np.sort(arr), np.arange(arr.size)):
@@ -75,7 +77,7 @@ class Spectrum:
     """
 
     def __init__(self, f, tol: float = 1e-9):
-        arr = np.asarray(f, dtype=complex)
+        arr = np.array(f, dtype=complex)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size < 1:
             raise ValidityError("spectrum must be a non-empty 1-d sequence")
         if abs(arr[0] - 1.0) > tol:
@@ -168,9 +170,7 @@ def relabel(p: Distribution, s: Permutation) -> Distribution:
     """The law of s(X): mass at index k moves to index s[k]."""
     if s.n != p.n:
         raise ValidityError(f"permutation size {s.n} does not match n={p.n}")
-    q = np.empty(p.n)
-    q[s.s] = p.p
-    return Distribution(q)
+    return Distribution(_relabeled_raw(p, s))
 
 
 def _relabeled_raw(p: Distribution, s: Permutation) -> np.ndarray:
@@ -253,70 +253,27 @@ def classify_stable(
     return None
 
 
-def _doa_mass_criterion(q: np.ndarray, m: int, r: int) -> tuple[bool, float, float]:
-    """Mass form of the attraction test on the relabeled vector q.
-
-    Returns (attracted, off_support_mass, max_concentration): q must live on
-    the multiples of m, and the quotient law y must put probability < 1 on
-    every coset { y : (y - a) t == 0 mod r }.
-    """
-    on = q[::m]
-    off_mass = float(q.sum() - on.sum()) if m > 1 else 0.0
-    if off_mass > _MASS_EPS:
-        return False, off_mass, 0.0
-    y = on / on.sum()
-    conc_max = 0.0
-    idx = np.arange(r)
-    for t_star in range(1, r):
-        for a in range(r):
-            mass = float(y[((idx - a) * t_star) % r == 0].sum())
-            conc_max = max(conc_max, mass)
-    return conc_max < 1.0 - _MASS_EPS, off_mass, conc_max
-
-
-def _doa_spectral_parts(q: np.ndarray, r: int) -> tuple[float, float]:
-    """Spectral margins: max |f(t) - 1| on the subgroup t = 0 mod r, and
-    max |f(t)| off it."""
-    f = _spectrum_raw(q)
-    on = np.abs(f[::r] - 1.0).max()
-    off = f[np.arange(q.size) % r != 0]
-    return float(on), float(np.abs(off).max()) if off.size else 0.0
-
-
 def in_doa(p: Distribution, target: StableLaw, s: Permutation | None = None) -> bool:
     """Whether p is attracted to the given stable law (its fold powers
     converge to it in distribution)."""
-    n = p.n
-    if target.n != n:
-        raise ValidityError(f"target law is for n={target.n}, distribution has n={n}")
-    s = _ident(s, n)
-    q = _relabeled_raw(p, s)
-    result, off_mass, conc_max = _doa_mass_criterion(q, target.m, target.r)
-    # spectral cross-check, gated so boundary inputs stay decided by the mass
-    # test alone: flag only contradictions the margin bounds rule out
-    sup_dev, strict_max = _doa_spectral_parts(q, target.r)
-    if result and off_mass <= _MASS_EPS and conc_max <= 1.0 - 1e-6:
-        if sup_dev > 1e-9 or strict_max > 1.0 - 1e-9:
-            raise RuntimeError("attraction criteria disagree (mass says yes)")
-    if off_mass > 1e-6 and sup_dev < 1e-12:
-        raise RuntimeError("attraction criteria disagree (support mass escaped)")
-    if conc_max > 1.0 - _MASS_EPS and strict_max < 1.0 - 1e-6:
-        raise RuntimeError("attraction criteria disagree (concentration found)")
-    return result
+    if target.n != p.n:
+        raise ValidityError(f"target law is for n={target.n}, distribution has n={p.n}")
+    return doa_attractor(p, s) == target
 
 
 def doa_attractor(p: Distribution, s: Permutation | None = None) -> StableLaw | None:
     """The stable law attracting p, or None when the fold powers cycle.
 
-    Divisors are scanned from the most spread-out candidate (m = 1, full
-    uniform) upward, so the maximal attracting law is reported.
+    Relabeled, p lives on a coset a + gZ_n, where g is the gcd of n and the
+    pairwise differences of its support.  Its m-fold powers live on
+    ma + gZ_n, so they converge iff a is in gZ_n, and then to the uniform law
+    on gZ_n (Kawada & Ito 1940).  A point of mass at most 1e-12 counts as
+    absent from the support.
     """
     s = _ident(s, p.n)
-    for m in _divisors(p.n):
-        law = StableLaw(m, p.n // m)
-        if in_doa(p, law, s):
-            return law
-    return None
+    support = s.s[p.p > _MASS_EPS]
+    g = math.gcd(p.n, *(support - support[0]).tolist())
+    return StableLaw(g, p.n // g) if support[0] % g == 0 else None
 
 
 def construct_id(d: IdDecomposition, s: Permutation | None = None) -> Distribution:

@@ -19,7 +19,7 @@ class Alphabet:
     """Ordered list of N pairwise-distinct real values, indexed 0..N-1."""
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size < 1:
             raise ValidityError("alphabet must be a non-empty 1-d sequence of reals")
         if np.unique(arr).size != arr.size:
@@ -48,7 +48,7 @@ class LutTable:
     """
 
     def __init__(self, alphabet: Alphabet, table):
-        tab = np.asarray(table, dtype=np.intp)
+        tab = np.array(table, dtype=np.intp)  # a copy: the caller's array stays writable
         n = alphabet.n
         if tab.shape != (n, n):
             raise ValidityError(f"table must be {n}x{n}, got shape {tab.shape}")

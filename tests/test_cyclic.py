@@ -282,6 +282,69 @@ def test_doa_agrees_with_limit_under_permutation():
             assert att is None
 
 
+def assert_spectrum_agrees(p, s, att):
+    """The relabeled spectrum f has f = 1 on the subgroup t = 0 mod r and
+    |f| < 1 off it when p is attracted to (m, r); otherwise some |f(t)| = 1
+    with f(t) != 1 makes the fold powers rotate."""
+    f = spectrum(p, s).f
+    t = np.arange(p.n)
+    if att is not None:
+        assert np.abs(f[t % att.r == 0] - 1.0).max() <= 1e-9, (p.p, att)
+        off = f[t % att.r != 0]
+        assert off.size == 0 or np.abs(off).max() <= 1.0 - 1e-9, (p.p, att)
+    else:
+        rotating = (np.abs(np.abs(f) - 1.0) <= 1e-9) & (np.abs(f - 1.0) > 1e-6)
+        assert rotating.any(), p.p
+
+
+def test_doa_attractor_agrees_with_spectrum():
+    rng = np.random.default_rng(83)
+    for _ in range(2000):
+        n = int(rng.integers(2, 40))
+        s = Permutation(rng.permutation(n))
+        p = random_law(rng, n)
+        assert_spectrum_agrees(p, s, doa_attractor(p, s))
+    # the acceptance suite's criterion-4 sample (identity permutation)
+    rng = np.random.default_rng(20260809 + 4)
+    for n in range(2, 13):
+        for _ in range(200):
+            p = random_law(rng, n)
+            assert_spectrum_agrees(p, None, doa_attractor(p))
+
+
+def test_doa_agrees_with_limit_at_n360():
+    rng = np.random.default_rng(84)
+    n = 360
+    s = Permutation(rng.permutation(n))
+    lut = make_cyclic_lut(n, s)
+    dirichlet = Distribution(rng.dirichlet(np.ones(n)))
+    assert doa_attractor(dirichlet, s) == StableLaw(1, n)
+    res = limit(lut, dirichlet)
+    assert res.status == "converged"
+    assert tv_distance(res.dist, stable_distribution(StableLaw(1, n), s)) <= 1e-8
+    # relabeled support 5 + 6Z: the fold powers rotate through the cosets
+    q = np.zeros(n)
+    q[5::6] = rng.dirichlet(np.ones(n // 6))
+    coset = Distribution(q[s.s])
+    assert doa_attractor(coset, s) is None
+    assert limit(lut, coset).status == "cycle"
+
+
+def test_doa_masses_at_most_1e_12_count_as_absent():
+    # (a) mass 1/2 at 0 and at 6; the 1.1e-12 left over is spread over the
+    # other ten points, none of which carries more than 1e-12
+    w = np.full(12, 1e-13)
+    w[0], w[6], w[11] = 0.5, 0.5 - 1.1e-12, 2e-13
+    p = Distribution(w)
+    assert doa_attractor(p) == StableLaw(6, 2)
+    assert [m for m in divisors(12) if in_doa(p, StableLaw(m, 12 // m))] == [6]
+    # (b) uniform on 3 + 4Z; the FFT leaves residues of about 1.8e-16 on 4Z,
+    # which would make the support generate all of Z_12 if they counted
+    p = construct_id(IdDecomposition(a=3, m=4, lam=0.0, jump=Distribution.point_mass(12, 0)))
+    assert doa_attractor(p) is None
+    assert not any(in_doa(p, StableLaw(m, 12 // m)) for m in divisors(12))
+
+
 def test_construct_id_examples():
     n = 4
     s = Permutation([2, 0, 3, 1])

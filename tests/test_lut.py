@@ -19,6 +19,7 @@ from pseudosum import (
     make_max_lut,
     make_mod_lut,
     Permutation,
+    Spectrum,
     power,
     verify_left_subtraction,
 )
@@ -33,6 +34,23 @@ def naive_first_assoc_failure(table):
                 if table[i][table[j][k]] != table[table[i][j]][k]:
                     return (i, j, k)
     return None
+
+
+@pytest.mark.parametrize(
+    "build, arr, attr",
+    [
+        (Alphabet, np.array([0.0, 1.0, 2.0]), "values"),
+        (lambda a: LutTable(Alphabet.canonical(2), a), np.array([[0, 1], [1, 0]], dtype=np.intp), "table"),
+        (Permutation, np.array([1, 0, 2], dtype=np.intp), "s"),
+        (Spectrum, np.array([1.0, 0.5, 0.5], dtype=complex), "f"),
+    ],
+    ids=["Alphabet", "LutTable", "Permutation", "Spectrum"],
+)
+def test_constructors_copy_the_callers_array(build, arr, attr):
+    obj = build(arr)
+    before = getattr(obj, attr).copy()
+    arr[0] = arr[1]  # raises if the constructor froze the caller's array
+    assert np.array_equal(getattr(obj, attr), before)
 
 
 def test_alphabet_rejects_duplicates():
