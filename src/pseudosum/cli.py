@@ -188,7 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--trials", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="must be >= 1; changes neither the result nor the work")
     sub.add_argument("--compare-exact", action="store_true")
     sub.add_argument("--out")
 

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pseudosum import (
+    Alphabet,
     Distribution,
+    LutTable,
     SimConfig,
     ValidityError,
     empirical_fold,
@@ -29,6 +33,8 @@ def test_sample_index_examples():
     assert sample_index(Distribution([0.25, 0.75]), 0.2499999) == 0
     # rounded total mass 0.9999999999999999 <= u: the last index, not n
     assert sample_index(Distribution([0.1] * 10), 0.9999999999999999) == 9
+    # ... and never a trailing point of mass 0
+    assert sample_index(Distribution([0.1] * 10 + [0.0]), 0.9999999999999999) == 9
     with pytest.raises(ValidityError):
         sample_index(Distribution([0.5, 0.5]), 1.0)
 
@@ -109,3 +115,116 @@ def test_fold_order_irrelevant_for_commutative_tables():
             vals.insert(i, int(lut.table[a, b]))
         counts[vals[0]] += 1
     assert np.allclose(counts / trials, emp.p)
+
+
+# The all-at-once kernel that block-wise empirical_fold replaced, kept as an
+# independent reference: its own SplitMix64, every counter, uniform and index
+# of a worker partition in memory together, searchsorted clamped to n - 1.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _ref_uniforms(seed, counters):
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters + np.uint64(1)) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _ref_fold(lut, p, cfg, workers=1):
+    n, m = lut.n, cfg.m
+    cdf = np.cumsum(p.p)
+    counts = np.zeros(n, dtype=np.int64)
+    bounds = np.linspace(0, cfg.trials, workers + 1).astype(np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi == lo:
+            continue
+        trial_ids = np.arange(lo, hi, dtype=np.uint64)
+        counters = trial_ids[:, None] * np.uint64(m) + np.arange(m, dtype=np.uint64)
+        u = _ref_uniforms(cfg.seed, counters)
+        idx = np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
+        acc = idx[:, 0]
+        for j in range(1, m):
+            acc = lut.table[acc, idx[:, j]]
+        counts += np.bincount(acc, minlength=n)
+    return Distribution(counts / cfg.trials)
+
+
+def _s3_lut():
+    """The composition table of the symmetric group S_3: associative, not
+    commutative, and built raw (no structure marks)."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    table = [[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms]
+    return LutTable(Alphabet.canonical(6), np.array(table))
+
+
+def test_reference_uniforms_are_splitmix64():
+    # published SplitMix64 outputs for seed 0, reduced to 53 bits
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    got = _ref_uniforms(0, np.arange(3, dtype=np.uint64))
+    assert got.tolist() == [(w >> 11) * 2.0**-53 for w in want]
+
+
+def test_blocked_fold_matches_all_at_once_kernel():
+    from pseudosum.montecarlo import _BLOCK
+
+    rng = np.random.default_rng(77)
+    # Dirichlet(0.2) laws have tiny masses, so the guide table's wide buckets
+    # are exercised; an interior zero is allowed, the last entry stays positive
+    laws = []
+    for n in (8, 16, 6):
+        q = rng.dirichlet(np.full(n, 0.2))
+        q[n // 2] = 0.0
+        q[-1] += 1e-3
+        laws.append(Distribution(q / q.sum()))
+    cases = [(make_mod_lut(8), laws[0]), (make_max_lut(16), laws[1]), (_s3_lut(), laws[2])]
+    for lut, p in cases:
+        assert p.p[-1] > 0
+        for trials in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            for m in (1, 2, 33):
+                cfg = SimConfig(seed=int(rng.integers(2**63)), trials=trials, m=m)
+                want = _ref_fold(lut, p, cfg).p.tobytes()
+                for workers in (1, 3, trials + 5):
+                    got = empirical_fold(lut, p, cfg, workers=workers)
+                    assert got.p.tobytes() == want, (lut.n, trials, m, workers)
+
+
+def test_guide_table_is_exact():
+    from pseudosum.montecarlo import _InverseCdf
+
+    rng = np.random.default_rng(31)
+    laws = []
+    for r, n in ((0.5, 60), (0.1, 40), (0.9, 300)):  # geometric tails
+        laws.append(r ** np.arange(n))
+    tiny = np.full(12, 1e-13)  # 1e-13 masses between, before and after large ones
+    tiny[[2, 7]] = 0.5
+    laws.append(tiny)
+    for n, k in ((1, 0), (5, 0), (5, 2), (5, 4), (1024, 1000)):  # point masses
+        laws.append(np.eye(n)[k])
+    laws.append(rng.dirichlet(np.full(1024, 0.3)))
+    laws.append(rng.dirichlet(np.full(7, 0.05)))
+    splitmix = _ref_uniforms(2024, np.arange(10**5, dtype=np.uint64))
+    for q in laws:
+        p = Distribution(q / q.sum()).p
+        cdf = np.cumsum(p)
+        guide = _InverseCdf(p)
+        u = np.concatenate([
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+            np.arange(guide.k + 1) / guide.k, [0.0, 1.0 - 2.0**-53], splitmix,
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), np.flatnonzero(p)[-1])
+        assert np.array_equal(guide(u), want), p.size
+        assert p[guide(u)].min() > 0
+
+
+def test_fold_memory_is_bounded():
+    # the all-at-once kernel held 8 M counters, uniforms and indices (about 190 MB)
+    p = Distribution([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
+    tracemalloc.start()
+    try:
+        empirical_fold(make_max_lut(8), p, SimConfig(seed=1, trials=1_000_000, m=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
