@@ -64,6 +64,13 @@ def _read_json(path: str) -> dict:
         raise ValidityError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _int_arg(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidityError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _load_dist(path: str) -> Distribution:
     return Distribution.from_json(_read_json(path))
 
@@ -299,9 +306,9 @@ def _cmd_max(args) -> dict:
         p, q = (_load_dist(path) for path in args.convolve)
         return _dist_doc(max_convolve(p, q))
     if args.root:
-        n_parts = int(args.root[0])
+        n_parts = _int_arg(args.root[0], "N")
         return _dist_doc(max_nth_root(_load_dist(args.root[1]), n_parts))
-    x = int(args.doa[0])
+    x = _int_arg(args.doa[0], "X")
     p = _load_dist(args.doa[1])
     return {"version": SCHEMA_VERSION, "x": x, "in_doa": max_doa(p, x)}
 

@@ -12,7 +12,6 @@ laws factor as shift (+) subgroup-uniform (+) compound Poisson.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,11 +19,10 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution, convolve, power, tv_distance
-from .lut import Alphabet, LutTable
+from .lut import Alphabet, LutTable, json_integers, json_size
 
 ZERO_EPS = 1e-9    # |spectrum value| at or below this counts as a true zero
 _MASS_EPS = 1e-12  # a point mass at or below this counts as absent from a support
-_COMBO_CAP = 65536  # exhaustive log-branch search bound; heuristic beyond
 
 
 class Permutation:
@@ -54,12 +52,11 @@ class Permutation:
     @classmethod
     def from_json(cls, doc: dict) -> "Permutation":
         try:
-            n = int(doc["n"])
-            s = doc["s"]
+            n, s = json_size(doc["n"]), json_integers(doc["s"], "permutation")
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"permutation document missing field: {exc}") from exc
-        if len(s) != n:
-            raise ValidityError(f"permutation length {len(s)} does not match n={n}")
+        if s.ndim == 1 and s.size != n:
+            raise ValidityError(f"permutation length {s.size} does not match n={n}")
         return cls(s)
 
     def to_json(self) -> dict:
@@ -295,12 +292,33 @@ def construct_id(d: IdDecomposition, s: Permutation | None = None) -> Distributi
     return from_spectrum(Spectrum(F), s)
 
 
-def _branch_candidates(im: float, lam: float, slack: float = 1e-6) -> list[int]:
-    """Integers w such that im + 2*pi*w lies in [-lam - slack, lam + slack];
-    the imaginary part of a compound-Poisson log-spectrum is bounded by lam."""
-    lo = int(np.ceil((-lam - slack - im) / (2 * np.pi)))
-    hi = int(np.floor((lam + slack - im) / (2 * np.pi)))
-    return list(range(lo, hi + 1))
+def _odd_part_search(
+    y: np.ndarray, budget: float, S: np.ndarray, rest: np.ndarray, bound: np.ndarray
+) -> np.ndarray | None:
+    """S x for the first x = y + 2 pi w (w integer) found depth-first with
+    sum(x^2) <= budget and |S x| <= bound, or None.  Each depth takes the w
+    that suffix sums of y^2 (y in (-pi, pi]) leave in the ball, nearest y
+    first (Fincke & Pohst, Math. Comp. 44, 1985), and drops a prefix whose
+    S x the rest of x cannot bring back within the bound: by Cauchy-Schwarz,
+    x after depth v moves (S x)_k by at most rest[v, k] = |S[k, v+1:]| times
+    sqrt(budget left).
+    """
+    half = y.size
+    tail = np.append(np.cumsum(y[::-1] ** 2)[::-1], 0.0)
+    stack = [(0, budget, np.zeros(half))]
+    while stack:
+        v, left, Sx = stack.pop()
+        if v == half:
+            return Sx
+        r = math.sqrt(max(left - tail[v + 1], 0.0))
+        lo = math.ceil((-r - y[v]) / (2 * np.pi))
+        hi = math.floor((r - y[v]) / (2 * np.pi))
+        for k in sorted(range(lo, hi + 1), key=lambda k: -abs(y[v] + 2 * np.pi * k)):
+            x = y[v] + 2 * np.pi * k  # pushed farthest first: nearest y is tried first
+            kid = Sx + S[:, v] * x
+            if (np.abs(kid) <= bound + rest[v] * math.sqrt(max(left - x * x, 0.0))).all():
+                stack.append((v + 1, left - x * x, kid))
+    return None
 
 
 def decompose_id(
@@ -308,12 +326,16 @@ def decompose_id(
 ) -> IdDecomposition | None:
     """Canonical factorization of an infinitely divisible law, or None.
 
-    The zero set of the spectrum must be the complement of a subgroup (that
-    fixes the uniform component); on the subgroup, the log-spectrum is
-    searched over shifts and 2*pi log branches for nonnegative jump
-    intensities.  The canonical form has the jump law supported on the
-    residues 1..m-1 (relabeled), jump mass at 0 folded out of the intensity,
-    and the shift reduced modulo m.
+    The spectrum's zero set must be the complement of a subgroup (the
+    uniform component).  On it, g = shift x exp(psi) with jump intensities
+    C >= -tol, psi(u) = sum_k C_k (exp(2 pi i k u / m) - 1).  One FFT of
+    log|g| gives lam = -mean log|g| and the even part e_k of C exactly, and
+    rejects e_k < -tol.  The odd part then has |o_k| <= e_k + tol, so by
+    Parseval sum_u (Im psi(u))^2 <= m sum_k (e_k + tol)^2; for each shift
+    the 2 pi log branches inside that ball are searched depth-first, pruned
+    on the odd-part bound (exact, no cap).  The canonical form has the jump law on the relabeled residues
+    1..m-1, jump mass at 0 folded out of the intensity, and the shift
+    reduced modulo m; it must reproduce p within 1e-7 TV.
     """
     n = p.n
     s = _ident(s, n)
@@ -327,60 +349,35 @@ def decompose_id(
     if not np.array_equal(support, np.arange(m) * r):
         return None
     g = f[::r]
-    lam_bound = max(0.0, -float(np.log(np.abs(g)).mean()))
-
+    re_psi = np.fft.fft(np.log(np.abs(g))).real / m
+    lam = max(0.0, -float(re_psi[0]))
+    e = re_psi[1:]  # even part of the jump intensities C
+    if e.size and e.min() < -tol:
+        return None
+    # Im psi is odd, so its values at u = 1..half fix it and carry half the
+    # Parseval sum; there the odd part of C is o = (2 / m) S Im psi
     half = (m - 1) // 2
-    even = m % 2 == 0
     u = np.arange(m)
-    best: tuple[float, np.ndarray, int] | None = None  # (negativity, C, a_rel)
+    S = np.sin(2 * np.pi * np.outer(u[1 : half + 1], u[1 : half + 1]) / m)
+    sq = np.append(np.zeros((half, 1)), S[:, :0:-1] ** 2, axis=1)
+    rest = np.sqrt(np.cumsum(sq, axis=1)[:, ::-1]).T  # rest[v, k] = |S[k, v+1:]|
+    budget = 0.5 * m * float(np.sum((e + tol) ** 2))
+    bound = 0.5 * m * (e[:half] + tol)
     for a_rel in range(m):
-        ga = g * np.exp(-2j * np.pi * a_rel * u / m)
-        L = np.log(ga)
-        if even and abs(L[m // 2].imag) > 1e-7:
+        phase = np.angle(g * np.exp(-2j * np.pi * a_rel * u / m))
+        if m % 2 == 0 and abs(phase[m // 2]) > 1e-7:
             continue  # the half-frequency value must be real positive
-        cand_lists = [_branch_candidates(float(L[v].imag), lam_bound) for v in range(1, half + 1)]
-        if any(not c for c in cand_lists):
-            continue
-        total = 1
-        for c in cand_lists:
-            total *= len(c)
-        if total > _COMBO_CAP:
-            # phase-unwrap heuristic instead of exhaustive branch search
-            combos = [None]
-        else:
-            combos = itertools.product(*cand_lists)
-        for combo in combos:
-            psi = np.zeros(m, dtype=complex)
-            if combo is None:
-                psi.imag = np.unwrap(L.imag)
-                psi.real = L.real
-                psi[0] = 0.0
-                for v in range(1, half + 1):
-                    psi[m - v] = np.conj(psi[v])
-            else:
-                for v, w in zip(range(1, half + 1), combo):
-                    psi[v] = L[v] + 2j * np.pi * w
-                    psi[m - v] = np.conj(psi[v])
-            if even:
-                psi[m // 2] = L[m // 2].real
-            C = (np.fft.fft(psi) / m).real[1:]
-            negativity = float(-C[C < 0].sum())
-            if best is None or negativity < best[0]:
-                best = (negativity, C, a_rel)
-            if negativity <= 1e-13:
-                break
-        if best is not None and best[0] <= 1e-13:
+        Sx = _odd_part_search(phase[1 : half + 1], budget, S, rest, bound)
+        if Sx is not None:
             break
-    if best is None:
+    else:
         return None
-    _, C, a_rel = best
-    if C.size and C.min() < -tol:
-        return None
+    o = 2 * Sx / m
+    C = e + np.concatenate([o, np.zeros(m - 1 - 2 * half), -o[::-1]])
     C = np.clip(C, 0.0, None)
-    lam = float(C.sum())
     jump_rel = np.zeros(n)
     if lam > tol:
-        jump_rel[1:m] = C / lam
+        jump_rel[1:m] = C / C.sum()
     else:
         lam = 0.0
         jump_rel[0] = 1.0
@@ -397,13 +394,15 @@ def is_infinitely_divisible(
     p: Distribution, s: Permutation | None = None, tol: float = 1e-9
 ) -> bool:
     """True when p factors as shift (+) subgroup-uniform (+) compound
-    Poisson.  Such laws have shifted fold roots of every order.  Roots at a
-    few small orders do not imply a factorization: some laws this rejects
-    have roots of orders 2..16 but none of order 17.  That roots at every
-    order imply one is the classical result that infinitely divisible laws
-    on a finite abelian group are shift x idempotent x Poisson
-    (Parthasarathy 1967, ch. IV; Heyer 1977); this code does not prove it,
-    and the acceptance tests check it only up to a bounded order."""
+    Poisson, decided by decompose_id's exact search (a spectrum value at or
+    below ZERO_EPS counts as a zero).  Such laws have shifted fold roots of
+    every order.  Roots at a few small orders do not imply a factorization:
+    some laws this rejects have roots of orders 2..16 but none of order 17.
+    That roots at every order imply one is the classical result that
+    infinitely divisible laws on a finite abelian group are shift x
+    idempotent x Poisson (Parthasarathy 1967, ch. IV; Heyer 1977); this code
+    does not prove it, and the acceptance tests check it only up to a
+    bounded order."""
     return decompose_id(p, s, tol) is not None
 
 

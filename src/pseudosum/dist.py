@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityError
-from .lut import LutTable, find_identity, is_associative, is_commutative
+from .lut import LutTable, find_identity, is_associative, is_commutative, json_numbers, json_size
 
 SUM_TOL = 1e-9          # construction: |sum(p) - 1| beyond this is rejected
 FIXED_POINT_TOL = 1e-12
@@ -34,6 +34,8 @@ class Distribution:
         arr = np.asarray(p, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidityError("probability vector must be a non-empty 1-d sequence")
+        if not np.isfinite(arr).all():
+            raise ValidityError("probabilities must be finite")
         if (arr < 0).any():
             raise ValidityError("probabilities must be nonnegative")
         total = arr.sum()
@@ -70,13 +72,12 @@ class Distribution:
     @classmethod
     def from_json(cls, doc: dict) -> "Distribution":
         try:
-            n = int(doc["n"])
-            p = doc["p"]
+            n, p = json_size(doc["n"]), json_numbers(doc["p"], "p")
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"distribution document missing field: {exc}") from exc
-        if len(p) != n:
-            raise ValidityError(f"probability vector length {len(p)} does not match n={n}")
-        return cls(np.asarray(p, dtype=float))
+        if p.ndim == 1 and p.size != n:
+            raise ValidityError(f"probability vector length {p.size} does not match n={n}")
+        return cls(p)
 
     def to_json(self) -> dict:
         return {"n": self.n, "p": self.p.tolist()}

@@ -3,7 +3,8 @@
 A lookup table stores the binary operation x_i (+) x_j as an N x N matrix of
 alphabet indices.  Everything downstream (convolution powers, stable-law
 classification) only needs the index matrix; the alphabet is a relabeling
-layer kept alongside for presentation.
+layer kept alongside for presentation.  The ``json_*`` helpers here check
+the numbers of every JSON document the package reads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,35 @@ import numpy as np
 from .errors import ValidityError
 
 _ASSOC_BLOCK = 1 << 20  # triples compared per block by check_associative
+
+
+def json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as an array.  Strings,
+    booleans, nulls, objects and ragged lists raise ValidityError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValidityError(f"{what} is not a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidityError(f"{what} must hold numbers only")
+    return arr
+
+
+def json_integers(value, what: str) -> np.ndarray:
+    """As json_numbers, cast to intp; a float entry must be integral (2.0,
+    not 2.5) and within the int64 range."""
+    arr = json_numbers(value, what)
+    if arr.dtype.kind == "f" and not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62)).all():
+        raise ValidityError(f"{what} entries must be integers")
+    return arr.astype(np.intp)
+
+
+def json_size(value) -> int:
+    """The size field ``n`` of a JSON document."""
+    arr = json_integers(value, "n")
+    if arr.ndim != 0:
+        raise ValidityError("n must be a single integer")
+    return int(arr)
 
 
 class Alphabet:
@@ -69,20 +99,14 @@ class LutTable:
     @classmethod
     def from_json(cls, doc: dict) -> "LutTable":
         try:
-            n = int(doc["n"])
-            alphabet = doc["alphabet"]
+            n = json_size(doc["n"])
+            alphabet = json_numbers(doc["alphabet"], "alphabet")
             table = doc["table"]
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"lut document missing field: {exc}") from exc
-        if len(alphabet) != n:
-            raise ValidityError(f"alphabet length {len(alphabet)} does not match n={n}")
-        try:
-            raw = np.asarray(table)
-            tab = raw.astype(np.intp)
-        except (ValueError, TypeError) as exc:
-            raise ValidityError(f"table is not an integer matrix: {exc}") from exc
-        if raw.dtype.kind not in "iu" and not np.array_equal(raw, tab):
-            raise ValidityError("table entries must be integers")
+        if alphabet.ndim == 1 and alphabet.size != n:
+            raise ValidityError(f"alphabet length {alphabet.size} does not match n={n}")
+        tab = json_integers(table, "table")
         return cls(Alphabet(alphabet), tab)
 
     def to_json(self) -> dict:

@@ -216,6 +216,46 @@ def test_resource_and_internal_errors_exit_1_with_one_line(monkeypatch, capsys, 
     assert captured.err.splitlines() == [f"pseudosum power: {message}"]
 
 
+NAN_LAW = {"n": 2, "p": [float("nan"), 1.0]}
+HALF = {"n": 2, "p": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        # non-finite masses used to pass validation and print NaN (not JSON)
+        ({"d": NAN_LAW}, ["spectrum", "--dist", "{d}"], "probabilities must be finite"),
+        ({"d": NAN_LAW}, ["max", "--root", "2", "{d}"], "probabilities must be finite"),
+        ({"d": NAN_LAW}, ["id", "--dist", "{d}", "--check"], "probabilities must be finite"),
+        ({"d": {"n": 2, "p": [float("inf"), 1.0]}}, ["id", "--dist", "{d}", "--decompose"],
+         "probabilities must be finite"),
+        # malformed documents and arguments used to raise a raw ValueError
+        ({"d": {"n": "x", "p": [0.5, 0.5]}}, ["spectrum", "--dist", "{d}"], "n must hold numbers"),
+        ({"d": {"n": 2, "p": "ab"}}, ["spectrum", "--dist", "{d}"], "p must hold numbers"),
+        ({"d": {"n": 2, "p": [0.5, "a"]}}, ["spectrum", "--dist", "{d}"], "p must hold numbers"),
+        ({"d": {"n": 2, "p": 0.5}}, ["spectrum", "--dist", "{d}"], "1-d sequence"),
+        ({"t": {"n": "x", "alphabet": [0, 1], "table": [[0, 1], [1, 0]]}}, ["check", "--lut", "{t}"],
+         "n must hold numbers"),
+        ({"d": HALF, "s": {"n": "x", "s": [0, 1]}}, ["spectrum", "--dist", "{d}", "--perm", "{s}"],
+         "n must hold numbers"),
+        ({"d": HALF, "s": {"n": 2, "s": [0, 1.5]}}, ["spectrum", "--dist", "{d}", "--perm", "{s}"],
+         "permutation entries must be integers"),
+        ({"s": {"n": 2, "s": [1, 0.5]}}, ["check", "--gen", "perm:{s}"],
+         "permutation entries must be integers"),
+        ({"d": HALF}, ["max", "--root", "abc", "{d}"], "N must be an integer, got 'abc'"),
+        ({"d": HALF}, ["max", "--doa", "z", "{d}"], "X must be an integer, got 'z'"),
+    ],
+)
+def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):
+    paths = {name: write(tmp_path / f"{name}.json", doc) for name, doc in files.items()}
+    assert main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"pseudosum {argv[0]}: ")
+    assert message in captured.err
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     out = tmp_path / "missing" / "res.json"
     assert main(["check", "--gen", "mod2", "--out", str(out)]) == 1

@@ -35,6 +35,7 @@ from pseudosum import (
     tv_distance,
     verify_left_subtraction,
 )
+from pseudosum.cyclic import ZERO_EPS
 
 
 def divisors(n):
@@ -58,8 +59,9 @@ def random_law(rng, n):
     return Distribution(w)
 
 
-def random_id_input(rng, n, s=None):
-    """A canonical-support factorization input: jump on relabeled 1..m-1."""
+def random_id_input(rng, n, s=None, lam=None):
+    """A canonical-support factorization input: jump on relabeled 1..m-1,
+    intensity lam (default: uniform on [0, 3]) unless m = 1."""
     sp = s if s is not None else Permutation.identity(n)
     m = int(rng.choice(divisors(n)))
     a = int(rng.integers(n))
@@ -68,7 +70,7 @@ def random_id_input(rng, n, s=None):
         lam = 0.0
         jump_rel[0] = 1.0
     else:
-        lam = float(rng.uniform(0.0, 3.0))
+        lam = float(rng.uniform(0.0, 3.0)) if lam is None else lam
         jump_rel[1:m] = rng.dirichlet(np.ones(m - 1))
     return IdDecomposition(a=a, m=m, lam=lam, jump=Distribution(jump_rel[sp.s]))
 
@@ -80,6 +82,16 @@ def test_permutation_validation():
         Permutation([0, 0, 1])
     with pytest.raises(ValidityError):
         Permutation([0, 2])
+    assert Permutation.from_json({"n": 3, "s": [2, 0, 1.0]}).s.tolist() == [2, 0, 1]
+    for doc in (
+        {"n": "x", "s": [0, 1]},
+        {"n": 2, "s": [0, 1.5]},  # used to be truncated to [0, 1]
+        {"n": 2, "s": [0, "1"]},
+        {"n": 2, "s": 5},
+        {"n": 3, "s": [0, 1]},
+    ):
+        with pytest.raises(ValidityError):
+            Permutation.from_json(doc)
 
 
 def test_spectrum_validation():
@@ -392,6 +404,40 @@ def test_decompose_id_uniform_and_non_id():
     assert du.a == 0 and du.m == 1 and du.lam == 0.0
     assert du.jump.p.tolist() == [1, 0, 0, 0, 0]
     assert decompose_id(Distribution([0, 0.5, 0.5])) is None
+    # a near-uniform law at N = 60 and a random one at N = 360: both have a
+    # negative even part of the log-spectrum
+    rng = np.random.default_rng(83)
+    assert decompose_id(Distribution(rng.dirichlet(np.full(60, 20.0)))) is None
+    s = Permutation(rng.permutation(360))
+    assert decompose_id(Distribution(rng.dirichlet(np.ones(360))), s) is None
+
+
+def test_decompose_id_roundtrip_at_large_lambda():
+    # construct_id laws at intensities 8, 12 and 16.  A subgroup spectrum
+    # value at or below ZERO_EPS counts as a zero, so such a law is excluded;
+    # the counts pin how much of each sample that limit takes.
+    rng = np.random.default_rng(82)
+    excluded = {}
+    for lam in (8.0, 12.0, 16.0):
+        excluded[lam] = 0
+        for _ in range(40):
+            n = int(rng.integers(4, 25))
+            s = Permutation(rng.permutation(n))
+            d = random_id_input(rng, n, s, lam)
+            p = construct_id(d, s)
+            g = np.abs(spectrum(p, s).f[:: n // d.m])
+            if g.min() <= ZERO_EPS:
+                excluded[lam] += 1
+                continue
+            dc = decompose_id(p, s)
+            assert dc is not None, (lam, n, d.m)
+            assert dc.m == d.m
+            # the masses of p carry rounding of about 1e-16, so log|g| is
+            # good to about 1e-16 / |g|; the error was at most
+            # 1.2e-16 mean(1 / |g|) on 935 such laws
+            assert abs(dc.lam - d.lam) <= 1e-8 + 1e-15 * np.mean(1 / g)
+            assert tv_distance(construct_id(dc, s), p) <= 1e-8
+    assert excluded == {8.0: 0, 12.0: 3, 16.0: 26}
 
 
 def test_is_infinitely_divisible_examples():

@@ -39,6 +39,10 @@ def test_distribution_construction():
         Distribution([-0.1, 1.1])
     with pytest.raises(ValidityError):
         Distribution([])
+    # a NaN sums to NaN, and abs(NaN - 1) > tol is False
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, 0.5, -np.inf]):
+        with pytest.raises(ValidityError, match="finite"):
+            Distribution(bad)
 
 
 def test_distribution_json():
@@ -48,6 +52,20 @@ def test_distribution_json():
         Distribution.from_json({"n": 3, "p": [0.5, 0.5]})
     with pytest.raises(ValidityError):
         Distribution.from_json({"p": [0.5, 0.5]})
+    for doc in (
+        {"n": "x", "p": [0.5, 0.5]},
+        {"n": 2.5, "p": [0.5, 0.5]},
+        {"n": [2], "p": [0.5, 0.5]},
+        {"n": 2, "p": "ab"},
+        {"n": 2, "p": [0.5, "a"]},
+        {"n": 2, "p": ["0.5", "0.5"]},
+        {"n": 2, "p": [0.5, None]},
+        {"n": 2, "p": [True, False]},
+        {"n": 2, "p": [[0.5], [0.25, 0.25]]},
+        {"n": 2, "p": 1.0},
+    ):
+        with pytest.raises(ValidityError):
+            Distribution.from_json(doc)
 
 
 def test_convolve_examples():

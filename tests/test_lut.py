@@ -310,3 +310,15 @@ def test_json_round_trip_and_rejections():
         LutTable.from_json({"n": 2, "alphabet": [0, 1]})
     with pytest.raises(ValidityError):
         LutTable.from_json({"n": 2, "alphabet": [0, 1], "table": [[0, 1.5], [1, 0]]})
+    assert LutTable.from_json({"n": 2.0, "alphabet": [0, 1], "table": [[0, 1.0], [1, 0]]}).n == 2
+    for doc in (
+        {"n": "x", "alphabet": [0, 1], "table": [[0, 1], [1, 0]]},
+        {"n": 2, "alphabet": ["a", "b"], "table": [[0, 1], [1, 0]]},
+        {"n": 2, "alphabet": 7, "table": [[0, 1], [1, 0]]},
+        {"n": 2, "alphabet": [0, 1], "table": [[0, 1], [1]]},
+        {"n": 2, "alphabet": [0, 1], "table": [[0, "1"], [1, 0]]},
+        {"n": 2, "alphabet": [0, 1], "table": [[0, 1e300], [1, 0]]},
+        {"n": 2, "alphabet": [0, 1], "table": [[0, float("nan")], [1, 0]]},
+    ):
+        with pytest.raises(ValidityError):
+            LutTable.from_json(doc)
