@@ -54,7 +54,7 @@ def make_max_lut(n: int) -> LutTable:
         raise ValidityError("n must be >= 1")
     idx = np.arange(n)
     lut = LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
-    lut._assoc = lut._comm = True  # max is associative and commutative
+    lut._assoc = lut._comm = lut._max = True  # max is associative and commutative
     return lut
 
 

@@ -87,10 +87,11 @@ class LutTable:
         tab.setflags(write=False)
         self.alphabet = alphabet
         self.table = tab
-        # memoized by is_associative / is_commutative; set up front by
-        # make_cyclic_lut and make_max_lut, whose tables are so by construction
+        # memoized by is_associative / is_commutative / _is_max; set up front
+        # by make_cyclic_lut and make_max_lut, whose tables are so by construction
         self._assoc: bool | None = None
         self._comm: bool | None = None
+        self._max: bool | None = None
 
     @property
     def n(self) -> int:
@@ -161,6 +162,14 @@ def is_commutative(lut: LutTable) -> bool:
     if lut._comm is None:
         lut._comm = bool(np.array_equal(lut.table, lut.table.T))
     return lut._comm
+
+
+def _is_max(lut: LutTable) -> bool:
+    """True when table[i, j] == max(i, j) for every pair of indices."""
+    if lut._max is None:
+        idx = np.arange(lut.n)
+        lut._max = bool(np.array_equal(lut.table, np.maximum.outer(idx, idx)))
+    return lut._max
 
 
 def check_commutative(lut: LutTable) -> tuple[int, int] | None:

@@ -3,12 +3,16 @@
 Uniforms come from SplitMix64 (Steele, Lea & Flood) used in counter mode:
 draw number ``trial * m + step`` is a pure function of the seed, so the
 histogram is identical across runs and across any partitioning of trials.
-Floats are 53-bit mantissa draws in [0, 1).
+A draw is the 53-bit word w = output >> 11, standing for u = w * 2^-53 in
+[0, 1).
 
 `empirical_fold` walks the trials in fixed blocks of ``_BLOCK`` and takes
 one fold step at a time within a block, so its working memory is
-O(_BLOCK + N) whatever the number of trials and the fold length.  Indices
-come from a guide-table inverse CDF (Chen & Asau 1974), built once per law.
+O(_BLOCK + N) whatever the number of trials and the fold length.  The
+SplitMix64 state of a block steps in place, and indices come from a
+guide-table inverse CDF (Chen & Asau 1974) built once per law, that
+compares words with integer thresholds: the fold converts no float.  On a
+max table each trial draws once, from the largest of its m words.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution
-from .lut import LutTable
+from .lut import LutTable, _is_max
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -43,50 +47,78 @@ class SimConfig:
             raise ValidityError("fold length m must be >= 1")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _MUL1
-    z = (z ^ (z >> _U64(27))) * _MUL2
-    return z ^ (z >> _U64(31))
+def _splitmix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The SplitMix64 mix of pre-mix states z, written into out; tmp is
+    scratch of the same size.  Shifts take Python ints: with numpy 2.4,
+    np.right_shift(z, np.uint64(30), out=tmp) took 1.5x as long as with 30."""
+    np.right_shift(z, 30, out=tmp)
+    np.bitwise_xor(z, tmp, out=out)
+    out *= _MUL1
+    np.right_shift(out, 27, out=tmp)
+    out ^= tmp
+    out *= _MUL2
+    np.right_shift(out, 31, out=tmp)
+    out ^= tmp
+    return out
 
 
-def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """SplitMix64 output for each counter, reduced to a float in [0, 1)."""
-    base = _U64(seed & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        z = _mix64(base + (counters + _U64(1)) * _GAMMA)
-    return (z >> _U64(11)).astype(np.float64) * 2.0**-53
+def _capped_cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf of p, set to inf from the last index of positive mass on.
+
+    searchsorted(cdf, u, "right") on it is the smallest k with cdf[k] > u,
+    capped at that index, so a point of mass 0 is never drawn, even when u
+    reaches the rounded total."""
+    cdf = np.cumsum(p)
+    cdf[np.flatnonzero(p)[-1]:] = np.inf
+    return cdf
 
 
 class _InverseCdf:
-    """Guide-table inverse CDF of one law (Chen & Asau 1974).
+    """Guide-table inverse CDF of one law (Chen & Asau 1974), on 53-bit words.
 
-    Maps u in [0, 1) to the smallest k with cdf[k] > u, capped at the last
-    index of positive mass: the cdf is set to inf from that index on, so a
-    point of mass 0 is never drawn, even when u reaches the rounded total.
+    A word w in [0, 2^53) stands for u = w * 2^-53.  With thresholds
+    t[k] = ceil(cdf[k] * 2^53) (the uint64 maximum where the cdf is capped),
+    cdf[k] <= u holds exactly when t[k] <= w, so `words` maps w to the same
+    index as the float map `__call__` maps u, with integer compares only.
 
-    Bucket b of K = 2^ceil(log2(8N)) holds u in [b/K, (b+1)/K); the answer
-    is monotone in u, so it lies in [g[b], g[b+1]] with g[b] the answer at
-    b/K.  One comparison settles buckets where g[b+1] - g[b] <= 1; the
-    others, which hold at most N/(2K) <= 1/16 of the mass of u, fall back to
-    a binary search.  Bucketing is exact: K is a power of two.
+    Bucket b = w >> (53 - log2 K) of K = 2^ceil(log2(8N)) holds u in
+    [b/K, (b+1)/K); the answer is monotone in w, so it lies in
+    [g[b], g[b+1]] with g[b] the answer at the bucket's first word.  One
+    comparison settles buckets where g[b+1] - g[b] <= 1.  The others hold at
+    most N/(2K) <= 1/16 of the mass of u; a draw there whose candidate k
+    still has t[k] <= w falls back to a binary search.
     """
 
     def __init__(self, p: np.ndarray):
-        cdf = np.cumsum(p)
-        cdf[np.flatnonzero(p)[-1]:] = np.inf
-        k = 1 << (8 * p.size - 1).bit_length()
-        g = np.searchsorted(cdf, np.arange(k + 1) / k, side="right")
-        self.cdf, self.k, self.g = cdf, k, g
-        self.wide = np.diff(g) >= 2
-        self.any_wide = bool(self.wide.any())
+        self.cdf = _capped_cdf(p)
+        finite = np.isfinite(self.cdf)
+        t = np.full(p.size, np.iinfo(np.uint64).max, dtype=np.uint64)
+        t[finite] = np.ceil(self.cdf[finite] * 2.0**53)
+        bits = (8 * p.size - 1).bit_length()
+        self.k, self.shift, self.t = 1 << bits, 53 - bits, t
+        self.g = np.searchsorted(t, np.arange(self.k + 1, dtype=np.uint64) << self.shift, side="right")
+        self.any_wide = bool((np.diff(self.g) >= 2).any())
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        b = (u * self.k).astype(np.intp)
-        lo = self.g[b]
-        idx = lo + (self.cdf[lo] <= u)
+        """The index drawn by each float u in [0, 1), as sample_index."""
+        return np.searchsorted(self.cdf, u, side="right")
+
+    def words(self, w: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+        """The index drawn by each 53-bit word w, written into out (intp);
+        tmp is uint64 scratch of w's size.
+
+        Passing both keeps a fold step free of block-sized allocations: a
+        block of words is 128 KiB, glibc's default mmap threshold, and with
+        that threshold held fixed a fold that allocated its temporaries took
+        1.7x as long.  Every index taken is in range, so np.take runs with
+        mode="clip": with the default mode="raise", out= is copied through a
+        buffer."""
+        tmp = np.right_shift(w, self.shift, out=tmp)
+        idx = np.take(self.g, tmp, out=out, mode="clip")
+        idx += np.take(self.t, idx, out=tmp, mode="clip") <= w
         if self.any_wide:
-            wide = self.wide[b]
-            idx[wide] = np.searchsorted(self.cdf, u[wide], side="right")
+            sel = np.flatnonzero(np.take(self.t, idx, out=tmp, mode="clip") <= w)
+            idx[sel] = np.searchsorted(self.t, w[sel], side="right")
         return idx
 
 
@@ -95,7 +127,7 @@ def sample_index(p: Distribution, u: float) -> int:
     capped at the last index of positive mass."""
     if not 0.0 <= u < 1.0:
         raise ValidityError(f"u must lie in [0, 1), got {u!r}")
-    return int(_InverseCdf(p.p)(np.array([u]))[0])
+    return int(np.searchsorted(_capped_cdf(p.p), u, side="right"))
 
 
 def empirical_fold(
@@ -105,22 +137,49 @@ def empirical_fold(
 
     Each trial left-folds m inverse-CDF samples through the table.  Trials
     are processed in fixed blocks, one fold step at a time, so memory stays
-    bounded whatever cfg.trials and cfg.m.  `workers` must be >= 1; it is
-    kept for compatibility and changes neither the result nor the work.
+    bounded whatever cfg.trials and cfg.m.  On a max table (table[i, j] ==
+    max(i, j)) a trial's fold is the draw of its largest word, since the
+    inverse CDF is monotone, so each block keeps a running maximum and draws
+    once.  `workers` must be >= 1; it is kept for compatibility and changes
+    neither the result nor the work.
     """
     if lut.n != p.n:
         raise ValidityError(f"dimension mismatch: {lut.n} != {p.n}")
     if workers < 1:
         raise ValidityError("workers must be >= 1")
-    n, m, seed = lut.n, cfg.m, cfg.seed
-    flat = lut.table.ravel()
+    n, m = lut.n, cfg.m
     draw = _InverseCdf(p.p)
+    fold_max = _is_max(lut)
+    flat = lut.table.ravel()
+    seed = _U64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    z, word, step, tmp = (np.empty(_BLOCK, dtype=np.uint64) for _ in range(4))
+    acc, idx, cell = (np.empty(_BLOCK, dtype=np.intp) for _ in range(3))
     counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, cfg.trials, _BLOCK):
-        trial_ids = np.arange(lo, min(lo + _BLOCK, cfg.trials), dtype=np.uint64)
-        base = trial_ids * _U64(m)
-        acc = draw(_uniforms(seed, base))
-        for j in range(1, m):
-            acc = flat[acc * n + draw(_uniforms(seed, base + _U64(j)))]
-        counts += np.bincount(acc, minlength=n)
+        size = min(_BLOCK, cfg.trials - lo)
+        zb, wb, sb, tb, ab, ib, cb = (a[:size] for a in (z, word, step, tmp, acc, idx, cell))
+        # the pre-mix state of draw trial * m + j is seed + (trial * m + j + 1) * gamma
+        zb[:] = np.arange(lo, lo + size, dtype=np.uint64)
+        zb *= _U64(m)
+        zb += _U64(1)
+        zb *= _GAMMA
+        zb += seed
+        _splitmix(zb, wb, tb)
+        if fold_max:  # wb holds the running maximum of the trial's words
+            for _ in range(1, m):
+                zb += _GAMMA
+                np.maximum(wb, _splitmix(zb, sb, tb), out=wb)
+            wb >>= 11
+            draw.words(wb, ab, tb)
+        else:
+            wb >>= 11
+            draw.words(wb, ab, tb)
+            for _ in range(1, m):
+                zb += _GAMMA
+                _splitmix(zb, wb, tb)
+                wb >>= 11
+                np.multiply(ab, n, out=cb)
+                cb += draw.words(wb, ib, tb)
+                np.take(flat, cb, out=ab, mode="clip")
+        counts += np.bincount(ab, minlength=n)
     return Distribution(counts / cfg.trials)

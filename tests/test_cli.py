@@ -1,7 +1,9 @@
+import argparse
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pseudosum import make_mod_lut
@@ -52,6 +54,26 @@ def test_check_gen_and_counterexample(tmp_path, capsys):
     assert code == 0
     assert doc["associative"] is False
     assert doc["counterexample"] == [1, 0, 1]
+
+
+def test_check_gen_uses_the_mark(tmp_path, capsys, monkeypatch):
+    # built-in tables are marked associative: their documents equal those of
+    # the same tables read from a file, which are scanned
+    rng = np.random.default_rng(5)
+    gens = []
+    for n in range(1, 13):
+        gens += [f"mod{n}", f"max{n}"]
+        s = write(tmp_path / f"s{n}.json", {"n": n, "s": rng.permutation(n).tolist()})
+        gens.append(f"perm:{s}")
+    scanned = {}
+    for gen in gens:
+        lut = write(tmp_path / "lut.json", cli._load_lut(argparse.Namespace(gen=gen)).to_json())
+        scanned[gen] = run(capsys, ["check", "--lut", lut])
+    calls = []
+    monkeypatch.setattr(cli, "check_associative", lambda lut: calls.append(lut))
+    for gen in gens:
+        assert run(capsys, ["check", "--gen", gen]) == scanned[gen], gen
+    assert calls == []
 
 
 def test_convolve_and_power_roundtrip(tmp_path, capsys):

@@ -94,8 +94,6 @@ def test_m_one_recovers_base_law():
 
 def test_fold_order_irrelevant_for_commutative_tables():
     # left fold equals a randomized fold tree over the same per-trial samples
-    from pseudosum.montecarlo import _uniforms
-
     lut = make_mod_lut(5)
     p = Distribution([0.3, 0.1, 0.2, 0.25, 0.15])
     cdf = np.cumsum(p.p)
@@ -104,7 +102,7 @@ def test_fold_order_irrelevant_for_commutative_tables():
     counters = np.arange(trials, dtype=np.uint64)[:, None] * np.uint64(m) + np.arange(
         m, dtype=np.uint64
     )
-    idx = np.minimum(np.searchsorted(cdf, _uniforms(seed, counters).ravel(), side="right").reshape(trials, m), 4)
+    idx = np.minimum(np.searchsorted(cdf, _ref_uniforms(seed, counters).ravel(), side="right").reshape(trials, m), 4)
     emp = empirical_fold(lut, p, SimConfig(seed=seed, trials=trials, m=m))
     counts = np.zeros(5)
     for row in idx:
@@ -166,6 +164,7 @@ def test_reference_uniforms_are_splitmix64():
 
 
 def test_blocked_fold_matches_all_at_once_kernel():
+    from pseudosum.lut import _is_max
     from pseudosum.montecarlo import _BLOCK
 
     rng = np.random.default_rng(77)
@@ -178,6 +177,16 @@ def test_blocked_fold_matches_all_at_once_kernel():
         q[-1] += 1e-3
         laws.append(Distribution(q / q.sum()))
     cases = [(make_mod_lut(8), laws[0]), (make_max_lut(16), laws[1]), (_s3_lut(), laws[2])]
+    # max built raw, which the fold must recognize, and max with the entry
+    # its law hits most often changed, which must take the generic path
+    i = np.arange(16)
+    raw_max = LutTable(Alphabet.canonical(16), np.maximum.outer(i, i))
+    near_max = np.maximum.outer(i, i)
+    k = int(laws[1].p.argmax())
+    near_max[k, k] = (k + 1) % 16
+    near_max = LutTable(Alphabet.canonical(16), near_max)
+    assert _is_max(raw_max) and not _is_max(near_max)
+    cases += [(raw_max, laws[1]), (near_max, laws[1])]
     for lut, p in cases:
         assert p.p[-1] > 0
         for trials in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
@@ -218,13 +227,55 @@ def test_guide_table_is_exact():
         assert p[guide(u)].min() > 0
 
 
+def _guide_laws():
+    """The laws of test_guide_table_is_exact."""
+    rng = np.random.default_rng(31)
+    laws = []
+    for r, n in ((0.5, 60), (0.1, 40), (0.9, 300)):  # geometric tails
+        laws.append(r ** np.arange(n))
+    tiny = np.full(12, 1e-13)  # 1e-13 masses between, before and after large ones
+    tiny[[2, 7]] = 0.5
+    laws.append(tiny)
+    for n, k in ((1, 0), (5, 0), (5, 2), (5, 4), (1024, 1000)):  # point masses
+        laws.append(np.eye(n)[k])
+    laws.append(rng.dirichlet(np.full(1024, 0.3)))
+    laws.append(rng.dirichlet(np.full(7, 0.05)))
+    return laws
+
+
+def test_integer_guide_is_exact():
+    # the fold draws from 53-bit words w, u = w * 2^-53, with no float left:
+    # it must match the float inverse CDF at every threshold and bucket edge
+    from pseudosum.montecarlo import _InverseCdf
+
+    splitmix = (_ref_uniforms(2024, np.arange(10**5, dtype=np.uint64)) * 2.0**53).astype(np.uint64)
+    # plus dense laws with no wide bucket, where one comparison decides alone
+    dense = [np.full(5, 0.2), np.array([0.3, 0.2, 0.5]), np.random.default_rng(3).dirichlet(np.full(9, 50.0))]
+    assert not any(_InverseCdf(q).any_wide for q in dense)
+    for q in _guide_laws() + dense:
+        p = Distribution(q / q.sum()).p
+        cdf = np.cumsum(p)
+        guide = _InverseCdf(p)
+        t = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64)
+        edges = np.arange(guide.k + 1, dtype=np.uint64) << np.uint64(guide.shift)
+        ends = np.array([0, 2**53 - 1], dtype=np.uint64)
+        w = np.concatenate([t - 1, t, t + 1, edges - 1, edges, ends, splitmix])
+        w = w[w < 2**53]  # t - 1 and edges - 1 wrap at 0
+        want = np.minimum(np.searchsorted(cdf, w * 2.0**-53, side="right"), np.flatnonzero(p)[-1])
+        got = guide.words(w)
+        assert np.array_equal(got, want), p.size
+        assert p[got].min() > 0
+
+
 def test_fold_memory_is_bounded():
-    # the all-at-once kernel held 8 M counters, uniforms and indices (about 190 MB)
+    # the all-at-once kernel held 8 M counters, uniforms and indices (about
+    # 190 MB); a max table takes the running-maximum path, mod 8 the table fold
     p = Distribution([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
-    tracemalloc.start()
-    try:
-        empirical_fold(make_max_lut(8), p, SimConfig(seed=1, trials=1_000_000, m=8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for lut in (make_max_lut(8), make_mod_lut(8)):
+        tracemalloc.start()
+        try:
+            empirical_fold(lut, p, SimConfig(seed=1, trials=1_000_000, m=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
