@@ -153,8 +153,10 @@ def make_cyclic_lut(n: int, s: Permutation | None = None) -> LutTable:
     s = _ident(s, n)
     grid = (s.s[:, None] + s.s[None, :]) % n
     lut = LutTable(Alphabet.canonical(n), s.inv[grid])
-    # a relabeled Z_n is an abelian group: nothing needs to re-derive that
+    # a relabeled Z_n is an abelian group: nothing needs to re-derive that,
+    # nor test it against the max table, which is a group only at n = 1
     lut._assoc = lut._comm = True
+    lut._max = n == 1
     return lut
 
 
@@ -328,12 +330,14 @@ def decompose_id(
 
     The spectrum's zero set must be the complement of a subgroup (the
     uniform component).  On it, g = shift x exp(psi) with jump intensities
-    C >= -tol, psi(u) = sum_k C_k (exp(2 pi i k u / m) - 1).  One FFT of
-    log|g| gives lam = -mean log|g| and the even part e_k of C exactly, and
-    rejects e_k < -tol.  The odd part then has |o_k| <= e_k + tol, so by
-    Parseval sum_u (Im psi(u))^2 <= m sum_k (e_k + tol)^2; for each shift
-    the 2 pi log branches inside that ball are searched depth-first, pruned
-    on the odd-part bound (exact, no cap).  The canonical form has the jump law on the relabeled residues
+    C >= -tol', psi(u) = sum_k C_k (exp(2 pi i k u / m) - 1), where
+    tol' = tol + 1e-16 sum(1 / |g|) allows for the rounding of the masses.
+    One FFT of log|g| gives lam = -mean log|g| and the even part e_k of C
+    exactly, and rejects e_k < -tol'.  The odd part then has
+    |o_k| <= e_k + tol', so by Parseval
+    sum_u (Im psi(u))^2 <= m sum_k (e_k + tol')^2; for each shift the 2 pi
+    log branches inside that ball are searched depth-first, pruned on the
+    odd-part bound (exact, no cap).  The canonical form has the jump law on the relabeled residues
     1..m-1, jump mass at 0 folded out of the intensity, and the shift
     reduced modulo m; it must reproduce p within 1e-7 TV.
     """
@@ -349,10 +353,14 @@ def decompose_id(
     if not np.array_equal(support, np.arange(m) * r):
         return None
     g = f[::r]
-    re_psi = np.fft.fft(np.log(np.abs(g))).real / m
+    mag = np.abs(g)
+    re_psi = np.fft.fft(np.log(mag)).real / m
     lam = max(0.0, -float(re_psi[0]))
     e = re_psi[1:]  # even part of the jump intensities C
-    if e.size and e.min() < -tol:
+    # the masses carry rounding of about 1e-16, so log|g| is good to about
+    # 1e-16 / |g| and C to about 1e-16 sum(1 / |g|): the sign tests allow that
+    tol_c = tol + 1e-16 * float(np.sum(1.0 / mag))
+    if e.size and e.min() < -tol_c:
         return None
     # Im psi is odd, so its values at u = 1..half fix it and carry half the
     # Parseval sum; there the odd part of C is o = (2 / m) S Im psi
@@ -361,8 +369,8 @@ def decompose_id(
     S = np.sin(2 * np.pi * np.outer(u[1 : half + 1], u[1 : half + 1]) / m)
     sq = np.append(np.zeros((half, 1)), S[:, :0:-1] ** 2, axis=1)
     rest = np.sqrt(np.cumsum(sq, axis=1)[:, ::-1]).T  # rest[v, k] = |S[k, v+1:]|
-    budget = 0.5 * m * float(np.sum((e + tol) ** 2))
-    bound = 0.5 * m * (e[:half] + tol)
+    budget = 0.5 * m * float(np.sum((e + tol_c) ** 2))
+    bound = 0.5 * m * (e[:half] + tol_c)
     for a_rel in range(m):
         phase = np.angle(g * np.exp(-2j * np.pi * a_rel * u / m))
         if m % 2 == 0 and abs(phase[m // 2]) > 1e-7:

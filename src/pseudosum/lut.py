@@ -46,13 +46,18 @@ def json_size(value) -> int:
 
 
 class Alphabet:
-    """Ordered list of N pairwise-distinct real values, indexed 0..N-1."""
+    """Ordered list of N pairwise-distinct finite real values, indexed 0..N-1."""
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size < 1:
             raise ValidityError("alphabet must be a non-empty 1-d sequence of reals")
-        if np.unique(arr).size != arr.size:
+        if not np.isfinite(arr).all():
+            raise ValidityError("alphabet values must be finite")
+        # a sorted compare, not np.unique: with numpy 2.4 its first call
+        # imports numpy.ma, about 13 ms of a CLI process
+        srt = np.sort(arr)
+        if (srt[1:] == srt[:-1]).any():
             raise ValidityError("alphabet values must be pairwise distinct")
         arr.setflags(write=False)
         self.values = arr

@@ -10,9 +10,12 @@ A draw is the 53-bit word w = output >> 11, standing for u = w * 2^-53 in
 one fold step at a time within a block, so its working memory is
 O(_BLOCK + N) whatever the number of trials and the fold length.  The
 SplitMix64 state of a block steps in place, and indices come from a
-guide-table inverse CDF (Chen & Asau 1974) built once per law, that
-compares words with integer thresholds: the fold converts no float.  On a
-max table each trial draws once, from the largest of its m words.
+guide-table inverse CDF (Chen & Asau 1974; Devroye 1986, III.2.4) built
+once per law, that compares words with integer thresholds: the fold
+converts no float.  The guide grows until one probe settles every bucket
+(or to a fixed cap), and the few draws in buckets it leaves wide are found
+by their sentinel index and binary-searched.  On a max table each trial
+draws once, from the largest of its m words.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _BLOCK = 1 << 14  # trials folded together by empirical_fold
+_GUIDE_DOUBLINGS = 4  # the guide grows to at most 16x its base size 2^ceil(log2 8N)
 
 
 @dataclass(frozen=True)
@@ -81,23 +85,43 @@ class _InverseCdf:
     cdf[k] <= u holds exactly when t[k] <= w, so `words` maps w to the same
     index as the float map `__call__` maps u, with integer compares only.
 
-    Bucket b = w >> (53 - log2 K) of K = 2^ceil(log2(8N)) holds u in
-    [b/K, (b+1)/K); the answer is monotone in w, so it lies in
-    [g[b], g[b+1]] with g[b] the answer at the bucket's first word.  One
-    comparison settles buckets where g[b+1] - g[b] <= 1.  The others hold at
-    most N/(2K) <= 1/16 of the mass of u; a draw there whose candidate k
-    still has t[k] <= w falls back to a binary search.
+    Bucket b = w >> s of K = 2^(53 - s) buckets holds u in [b/K, (b+1)/K);
+    the answer is monotone in w, so it lies in [g[b], g[b+1]] with g[b] the
+    answer at the bucket's first word.  A narrow bucket, where
+    g[b+1] - g[b] <= 1, is settled by one probe: its entry packs g[b] above
+    the s offset bits and 2^s - d below them, d = min(t[g[b]] - b 2^s, 2^s)
+    the offset at which the draw passes t[g[b]], so adding the offset of w
+    carries into g[b] exactly when t[g[b]] <= w.  K starts at
+    2^ceil(log2(8N)) and doubles while some bucket is wide (holds two or
+    more thresholds), at most _GUIDE_DOUBLINGS times, so memory stays O(N).
+    A bucket still wide then (thresholds less than 1/K apart, or equal ones
+    around a zero mass) gets the sentinel entry N 2^s, which no offset
+    carries: the probe returns N exactly for the draws that fell in it, and
+    only those are binary-searched.
     """
 
     def __init__(self, p: np.ndarray):
+        n = p.size
         self.cdf = _capped_cdf(p)
         finite = np.isfinite(self.cdf)
-        t = np.full(p.size, np.iinfo(np.uint64).max, dtype=np.uint64)
+        t = np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
         t[finite] = np.ceil(self.cdf[finite] * 2.0**53)
-        bits = (8 * p.size - 1).bit_length()
-        self.k, self.shift, self.t = 1 << bits, 53 - bits, t
-        self.g = np.searchsorted(t, np.arange(self.k + 1, dtype=np.uint64) << self.shift, side="right")
-        self.any_wide = bool((np.diff(self.g) >= 2).any())
+        base = (8 * n - 1).bit_length()
+        for bits in range(base, base + _GUIDE_DOUBLINGS + 1):
+            edges = np.arange((1 << bits) + 1, dtype=np.uint64) << (53 - bits)
+            g = np.searchsorted(t, edges, side="right")
+            wide = np.diff(g) >= 2
+            if not wide.any():
+                break
+        s = 53 - bits
+        g, edges = g[:-1], edges[:-1]  # entry K only served the widths
+        # t[g[b]] > b 2^s by the choice of g[b], so the difference is positive
+        d = np.minimum(t[g] - edges, _U64(1 << s))
+        probe = (g.astype(np.uint64) << s) + (_U64(1 << s) - d)
+        probe[wide] = _U64(n << s)
+        self.n, self.k, self.shift, self.t, self.probe = n, 1 << bits, s, t, probe
+        self.mask = _U64((1 << s) - 1)
+        self.any_wide = bool(wide.any())
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """The index drawn by each float u in [0, 1), as sample_index."""
@@ -110,14 +134,18 @@ class _InverseCdf:
         Passing both keeps a fold step free of block-sized allocations: a
         block of words is 128 KiB, glibc's default mmap threshold, and with
         that threshold held fixed a fold that allocated its temporaries took
-        1.7x as long.  Every index taken is in range, so np.take runs with
-        mode="clip": with the default mode="raise", out= is copied through a
-        buffer."""
+        1.7x as long.  The probe sums run in out's memory read as uint64
+        (they stay below 2^63).  Every index taken is in range, so np.take
+        runs with mode="clip": with the default mode="raise", out= is copied
+        through a buffer, and bucket numbers (below 2^53) are read as int64,
+        which it takes without the cast pass that uint64 indices cost."""
+        idx = np.empty(w.size, dtype=np.intp) if out is None else out
         tmp = np.right_shift(w, self.shift, out=tmp)
-        idx = np.take(self.g, tmp, out=out, mode="clip")
-        idx += np.take(self.t, idx, out=tmp, mode="clip") <= w
-        if self.any_wide:
-            sel = np.flatnonzero(np.take(self.t, idx, out=tmp, mode="clip") <= w)
+        sums = np.take(self.probe, tmp.view(np.int64), out=idx.view(np.uint64), mode="clip")
+        sums += np.bitwise_and(w, self.mask, out=tmp)
+        sums >>= self.shift
+        if self.any_wide:  # the sentinel marks the draws in wide buckets
+            sel = np.flatnonzero(idx == self.n)
             idx[sel] = np.searchsorted(self.t, w[sel], side="right")
         return idx
 

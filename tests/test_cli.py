@@ -266,6 +266,11 @@ HALF = {"n": 2, "p": [0.5, 0.5]}
          "permutation entries must be integers"),
         ({"d": HALF}, ["max", "--root", "abc", "{d}"], "N must be an integer, got 'abc'"),
         ({"d": HALF}, ["max", "--doa", "z", "{d}"], "X must be an integer, got 'z'"),
+        # non-finite alphabet values used to pass and print NaN (not JSON)
+        ({"t": {"n": 2, "alphabet": [float("nan"), 1.0], "table": [[0, 1], [1, 0]]}},
+         ["check", "--lut", "{t}"], "alphabet values must be finite"),
+        ({"t": {"n": 2, "alphabet": [float("inf"), 0.0], "table": [[0, 1], [1, 0]]}},
+         ["check", "--lut", "{t}"], "alphabet values must be finite"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):
@@ -285,6 +290,21 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("pseudosum check: ")
+
+
+def test_table_commands_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (numpy 2.4), about 13 ms
+    # of every CLI process that builds a table
+    code = (
+        "import contextlib, io, sys\n"
+        "from pseudosum.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check', '--gen', 'mod8']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

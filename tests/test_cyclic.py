@@ -440,6 +440,25 @@ def test_decompose_id_roundtrip_at_large_lambda():
     assert excluded == {8.0: 0, 12.0: 3, 16.0: 26}
 
 
+def test_decompose_id_allows_for_rounding_near_zero_eps():
+    # Poisson laws with one jump to index 1: at lam = 10 the smallest
+    # subgroup value, 2.06e-9, is above ZERO_EPS, but log|g| there is only
+    # good to about 1e-16 / |g|, so exactly-zero even parts read about -4e-9
+    # and a flat tol rejected them; at lam = 11 it is 2.8e-10, a zero
+    for n in (16, 24):
+        jump = np.zeros(n)
+        jump[1] = 1.0
+        for lam, found in ((10.0, True), (11.0, False)):
+            d = IdDecomposition(a=0, m=n, lam=lam, jump=Distribution(jump))
+            p = construct_id(d)
+            assert (np.abs(spectrum(p).f).min() > ZERO_EPS) == found
+            dc = decompose_id(p)
+            assert (dc is not None) == found, (n, lam)
+            if found:
+                assert dc.m == n and dc.a == 0
+                assert abs(dc.lam - lam) <= 1e-6
+
+
 def test_is_infinitely_divisible_examples():
     for a in range(4):
         assert is_infinitely_divisible(Distribution.point_mass(4, a))

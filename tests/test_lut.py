@@ -60,6 +60,14 @@ def test_alphabet_rejects_duplicates():
         Alphabet([])
 
 
+def test_alphabet_rejects_non_finite_values():
+    # LutTable.to_json would emit NaN or Infinity, which is not JSON
+    for values in ([float("nan"), 1.0], [float("inf"), 0.0], [0.0, float("-inf")]):
+        with pytest.raises(ValidityError, match="finite"):
+            Alphabet(values)
+    assert Alphabet([-0.5, 2.0, 1e300]).n == 3
+
+
 def test_lut_rejects_bad_shapes_and_entries():
     a = Alphabet.canonical(2)
     with pytest.raises(ValidityError):

@@ -243,16 +243,34 @@ def _guide_laws():
     return laws
 
 
+def _capped_wide_law():
+    """A law whose guide table still has wide buckets at its size cap."""
+    return np.random.default_rng(5).dirichlet(np.full(1024, 0.05))
+
+
 def test_integer_guide_is_exact():
     # the fold draws from 53-bit words w, u = w * 2^-53, with no float left:
     # it must match the float inverse CDF at every threshold and bucket edge
-    from pseudosum.montecarlo import _InverseCdf
+    from pseudosum.montecarlo import _GUIDE_DOUBLINGS, _InverseCdf
 
     splitmix = (_ref_uniforms(2024, np.arange(10**5, dtype=np.uint64)) * 2.0**53).astype(np.uint64)
     # plus dense laws with no wide bucket, where one comparison decides alone
     dense = [np.full(5, 0.2), np.array([0.3, 0.2, 0.5]), np.random.default_rng(3).dirichlet(np.full(9, 50.0))]
     assert not any(_InverseCdf(q).any_wide for q in dense)
-    for q in _guide_laws() + dense:
+    # plus laws that widen the guide from its base 2^ceil(log2 8N) buckets:
+    # (law, buckets, wide buckets left).  Thresholds 0.3 and 0.304 share a
+    # bucket up to K = 128; equal thresholds around a zero mass, or too many
+    # tiny masses, keep a bucket wide up to the cap
+    cap = 1 << _GUIDE_DOUBLINGS
+    widened = [
+        (np.array([0.3, 0.004, 0.696]), 8 * 32, False),
+        (np.array([0.3, 0.0, 0.2, 0.0, 0.0, 0.5]), cap * 64, True),
+        (_capped_wide_law(), cap * 8192, True),
+    ]
+    for q, k, wide in widened:
+        guide = _InverseCdf(q)
+        assert (guide.k, guide.any_wide) == (k, wide)
+    for q in _guide_laws() + dense + [q for q, _, _ in widened]:
         p = Distribution(q / q.sum()).p
         cdf = np.cumsum(p)
         guide = _InverseCdf(p)
@@ -264,17 +282,21 @@ def test_integer_guide_is_exact():
         want = np.minimum(np.searchsorted(cdf, w * 2.0**-53, side="right"), np.flatnonzero(p)[-1])
         got = guide.words(w)
         assert np.array_equal(got, want), p.size
+        assert got.max() < p.size  # never the sentinel index N
         assert p[got].min() > 0
 
 
 def test_fold_memory_is_bounded():
     # the all-at-once kernel held 8 M counters, uniforms and indices (about
     # 190 MB); a max table takes the running-maximum path, mod 8 the table fold
+    # the capped law holds the guide at its largest, 16 * 2^13 buckets
     p = Distribution([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
-    for lut in (make_max_lut(8), make_mod_lut(8)):
+    wide = Distribution(_capped_wide_law())
+    cases = [(make_max_lut(8), p), (make_mod_lut(8), p), (make_max_lut(1024), wide), (make_mod_lut(1024), wide)]
+    for lut, law in cases:
         tracemalloc.start()
         try:
-            empirical_fold(lut, p, SimConfig(seed=1, trials=1_000_000, m=8))
+            empirical_fold(lut, law, SimConfig(seed=1, trials=1_000_000, m=8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
