@@ -153,10 +153,8 @@ def make_cyclic_lut(n: int, s: Permutation | None = None) -> LutTable:
     s = _ident(s, n)
     grid = (s.s[:, None] + s.s[None, :]) % n
     lut = LutTable(Alphabet.canonical(n), s.inv[grid])
-    # a relabeled Z_n is an abelian group: nothing needs to re-derive that,
-    # nor test it against the max table, which is a group only at n = 1
+    # a relabeled Z_n is an abelian group: nothing needs to re-derive that
     lut._assoc = lut._comm = True
-    lut._max = n == 1
     return lut
 
 

@@ -16,7 +16,6 @@ from .lut import LutTable, find_identity, is_associative, is_commutative, json_n
 
 SUM_TOL = 1e-9          # construction: |sum(p) - 1| beyond this is rejected
 FIXED_POINT_TOL = 1e-12
-_CYCLE_QUANTUM = 1e-10  # probability quantum for cycle-detection hashing
 
 CONVERGED = "converged"
 CYCLE = "cycle"
@@ -105,10 +104,10 @@ def _check_same_n(*sizes) -> int:
     return n
 
 
-def _convolve_raw(table: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    r = np.zeros(p.size)
-    np.add.at(r, table, np.outer(p, q))
-    return r
+def _convolve_raw(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Push the weight matrix through the table: r[k] sums weights[i, j] over
+    the cells with table[i, j] == k, adding in row-major order."""
+    return np.bincount(table.ravel(), weights.ravel(), minlength=table.shape[0])
 
 
 def _tv_raw(p: np.ndarray, q: np.ndarray) -> float:
@@ -125,9 +124,7 @@ def convolve(lut: LutTable, p: Distribution, q: Distribution) -> Distribution:
     weights = np.outer(p.p, q.p)
     if is_commutative(lut):
         weights = (weights + weights.T) / 2.0
-    r = np.zeros(p.n)
-    np.add.at(r, lut.table, weights)
-    return Distribution(r)
+    return Distribution(_convolve_raw(lut.table, weights))
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
@@ -157,10 +154,10 @@ def power(lut: LutTable, p: Distribution, m: int) -> Distribution:
     base = p.p
     while m:
         if m & 1:
-            acc = base if acc is None else _convolve_raw(table, acc, base)
+            acc = base if acc is None else _convolve_raw(table, np.outer(acc, base))
         m >>= 1
         if m:
-            base = _convolve_raw(table, base, base)
+            base = _convolve_raw(table, np.outer(base, base))
     return Distribution(acc)
 
 
@@ -168,11 +165,7 @@ def is_stable(lut: LutTable, p: Distribution, tol: float = FIXED_POINT_TOL) -> b
     """True when p is a fixed point of self-convolution, i.e. the law of
     X1 (+) X2 equals p within total variation tol."""
     _check_same_n(lut.n, p.n)
-    return _tv_raw(_convolve_raw(lut.table, p.p, p.p), p.p) <= tol
-
-
-def _quantize_key(p: np.ndarray) -> bytes:
-    return np.rint(p / _CYCLE_QUANTUM).astype(np.int64).tobytes()
+    return _tv_raw(_convolve_raw(lut.table, np.outer(p.p, p.p)), p.p) <= tol
 
 
 def limit(
@@ -187,8 +180,8 @@ def limit(
     Returns CONVERGED only for genuine full-sequence convergence: once the
     doubling sequence settles, one extra convolution with p probes the odd
     subsequence, and a moving fixed point is reported as CYCLE (odd/even
-    oscillation, period 2).  Recurrence of an earlier iterate (detected by
-    hashing probabilities quantized at 1e-10) is also a CYCLE.  The converged
+    oscillation, period 2).  Recurrence of an earlier iterate, the earliest
+    within total variation tol of the new one, is also a CYCLE.  The converged
     payload is guaranteed stable at tolerance 2*tol.
     """
     _check_same_n(lut.n, p.n)
@@ -200,26 +193,20 @@ def limit(
         raise ValidityError("table is not associative; limits are ill-defined")
     table = lut.table
     q = p.p
-    seen = {_quantize_key(q): (0, q)}
+    kept = [q]  # the iterates so far; iterate j is the law of the 2^j-fold sum
     for k in range(1, max_doublings + 1):
-        nxt = _convolve_raw(table, q, q)
+        nxt = _convolve_raw(table, np.outer(q, q))
         # self-convolution squares the total mass, so a 1-ulp drift from 1
         # compounds doubly exponentially over 64 doublings; stay on the simplex
         nxt /= nxt.sum()
         if _tv_raw(nxt, q) <= tol:
-            probe = _convolve_raw(table, nxt, p.p)
+            probe = _convolve_raw(table, np.outer(nxt, p.p))
             if _tv_raw(probe, nxt) > tol:
                 return LimitResult(CYCLE, doublings=k, period=2)
             return LimitResult(CONVERGED, dist=Distribution(nxt), doublings=k)
-        key = _quantize_key(nxt)
-        hit = seen.get(key)
-        if hit is not None:
-            # the hash is only an accelerant: a quantum-level collision during
-            # slow convergence is not a recurrence, so confirm at tol
-            prior, vec = hit
-            if _tv_raw(nxt, vec) <= tol:
-                return LimitResult(CYCLE, doublings=k, period=k - prior)
-        else:
-            seen[key] = (k, nxt)
+        for j, prior in enumerate(kept):
+            if _tv_raw(nxt, prior) <= tol:
+                return LimitResult(CYCLE, doublings=k, period=k - j)
+        kept.append(nxt)
         q = nxt
     return LimitResult(MAX_ITERATIONS, doublings=max_doublings)

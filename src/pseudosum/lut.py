@@ -165,15 +165,21 @@ def is_associative(lut: LutTable) -> bool:
 
 def is_commutative(lut: LutTable) -> bool:
     if lut._comm is None:
-        lut._comm = bool(np.array_equal(lut.table, lut.table.T))
+        lut._comm = check_commutative(lut) is None
     return lut._comm
 
 
 def _is_max(lut: LutTable) -> bool:
-    """True when table[i, j] == max(i, j) for every pair of indices."""
+    """True when table[i, j] == max(i, j) for every pair of indices.
+
+    A max table's last row is all N - 1, which rules out most other tables
+    (any group's, for N > 1) in O(N); the full compare builds its index grid
+    in the smallest type that holds N - 1, not intp."""
     if lut._max is None:
-        idx = np.arange(lut.n)
-        lut._max = bool(np.array_equal(lut.table, np.maximum.outer(idx, idx)))
+        n = lut.n
+        idx = np.arange(n, dtype=np.min_scalar_type(n - 1))
+        last_row = (lut.table[-1] == n - 1).all()
+        lut._max = bool(last_row and np.array_equal(lut.table, np.maximum.outer(idx, idx)))
     return lut._max
 
 
@@ -181,11 +187,11 @@ def check_commutative(lut: LutTable) -> tuple[int, int] | None:
     """None when the table is symmetric, else the lexicographically smallest
     (i, j) with A(i,j) != A(j,i)."""
     t = lut.table
-    bad = np.argwhere(t != t.T)
-    if bad.size == 0:
+    bad = t != t.T
+    first = bad.argmax()  # row-major = lexicographic order
+    if not bad.flat[first]:
         return None
-    i, j = bad[0]
-    return int(i), int(j)
+    return divmod(int(first), lut.n)
 
 
 def find_identity(lut: LutTable) -> int | None:

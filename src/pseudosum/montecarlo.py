@@ -83,7 +83,7 @@ class _InverseCdf:
     A word w in [0, 2^53) stands for u = w * 2^-53.  With thresholds
     t[k] = ceil(cdf[k] * 2^53) (the uint64 maximum where the cdf is capped),
     cdf[k] <= u holds exactly when t[k] <= w, so `words` maps w to the same
-    index as the float map `__call__` maps u, with integer compares only.
+    index as `sample_index` maps u, with integer compares only.
 
     Bucket b = w >> s of K = 2^(53 - s) buckets holds u in [b/K, (b+1)/K);
     the answer is monotone in w, so it lies in [g[b], g[b+1]] with g[b] the
@@ -102,10 +102,10 @@ class _InverseCdf:
 
     def __init__(self, p: np.ndarray):
         n = p.size
-        self.cdf = _capped_cdf(p)
-        finite = np.isfinite(self.cdf)
+        cdf = _capped_cdf(p)
+        finite = np.isfinite(cdf)
         t = np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
-        t[finite] = np.ceil(self.cdf[finite] * 2.0**53)
+        t[finite] = np.ceil(cdf[finite] * 2.0**53)
         base = (8 * n - 1).bit_length()
         for bits in range(base, base + _GUIDE_DOUBLINGS + 1):
             edges = np.arange((1 << bits) + 1, dtype=np.uint64) << (53 - bits)
@@ -122,10 +122,6 @@ class _InverseCdf:
         self.n, self.k, self.shift, self.t, self.probe = n, 1 << bits, s, t, probe
         self.mask = _U64((1 << s) - 1)
         self.any_wide = bool(wide.any())
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """The index drawn by each float u in [0, 1), as sample_index."""
-        return np.searchsorted(self.cdf, u, side="right")
 
     def words(self, w: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
         """The index drawn by each 53-bit word w, written into out (intp);

@@ -12,8 +12,10 @@ from pseudosum import (
     degenerate_doa_necessary,
     is_stable,
     limit,
+    make_cyclic_lut,
     make_max_lut,
     make_mod_lut,
+    Permutation,
     power,
     tv_distance,
     verify_left_subtraction,
@@ -163,6 +165,34 @@ def test_limit_hash_cycle_without_parity():
     assert res.period == 2
 
 
+def _orbit_verdict(n, x):
+    """(status, doublings, period) of limit on the point mass at x under
+    mod n, from the orbit x 2^k mod n of the doubling sequence."""
+    orbit = [x]
+    while True:
+        nxt = 2 * orbit[-1] % n
+        k = len(orbit)
+        if nxt == orbit[-1]:  # a fixed point; one step with delta_x probes it
+            return (CONVERGED, k, None) if (nxt + x) % n == nxt else (CYCLE, k, 2)
+        if nxt in orbit:
+            return CYCLE, k, k - orbit.index(nxt)
+        orbit.append(nxt)
+
+
+def test_limit_recurrence_periods_on_point_mass_orbits():
+    # the orbit of a point mass returns to its earliest repeated element:
+    # mod 7 from 1 runs 1, 2, 4, 1 (period 3), mod 12 from 1 runs
+    # 1, 2, 4, 8, 4 (period 2), mod 8 from 1 reaches 0 and stays (cycle 2)
+    assert _orbit_verdict(7, 1) == (CYCLE, 3, 3)
+    assert _orbit_verdict(12, 1) == (CYCLE, 4, 2)
+    assert _orbit_verdict(8, 1) == (CYCLE, 4, 2)
+    for n in range(1, 41):
+        lut = make_mod_lut(n)
+        for x in range(n):
+            res = limit(lut, Distribution.point_mass(n, x))
+            assert (res.status, res.doublings, res.period) == _orbit_verdict(n, x), (n, x)
+
+
 def test_limit_validates_arguments():
     lut = make_mod_lut(2)
     with pytest.raises(ValidityError):
@@ -247,3 +277,71 @@ def test_converged_limits_are_stable_and_satisfy_necessary_condition():
                 peaks = np.flatnonzero(res.dist.p > 1 - 1e-9)
                 if peaks.size == 1:  # converged to a point mass
                     assert degenerate_doa_necessary(lut, int(peaks[0]), p)
+
+
+def _add_at_convolve_raw(table, p, q):
+    """The table push-forward as np.add.at, the kernel's earlier form."""
+    r = np.zeros(p.size)
+    np.add.at(r, table, np.outer(p, q))
+    return r
+
+
+def _add_at_power(table, p, m):
+    acc, base = None, p
+    while m:
+        if m & 1:
+            acc = base if acc is None else _add_at_convolve_raw(table, acc, base)
+        m >>= 1
+        if m:
+            base = _add_at_convolve_raw(table, base, base)
+    return Distribution(acc).p
+
+
+def _s3_table():
+    """The composition table of the symmetric group S_3: not commutative."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    return np.array([[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms])
+
+
+def _relabeled_cyclic_max(k, s):
+    """Z_k x ({0..k-1}, max), element (a, b) at index s[a k + b]."""
+    a, b = np.divmod(np.arange(k * k), k)
+    table = ((a[:, None] + a[None, :]) % k) * k + np.maximum.outer(b, b)
+    out = np.empty_like(table)
+    out[np.ix_(s, s)] = s[table]
+    return out
+
+
+def test_kernel_matches_add_at_bitwise():
+    # convolve, power and is_stable push laws through the table with one
+    # bincount kernel; it must give the bytes of np.add.at, which adds the
+    # same weights in the same row-major order
+    rng = np.random.default_rng(67)
+    luts = []
+    for n in (2, 5, 16, 33):
+        luts.append(make_cyclic_lut(n, Permutation(rng.permutation(n))))
+        luts.append(make_max_lut(n))
+    for k in (2, 3, 5):
+        table = _relabeled_cyclic_max(k, rng.permutation(k * k))
+        luts.append(LutTable(Alphabet.canonical(k * k), table))
+    s3 = _s3_table()
+    assert not np.array_equal(s3, s3.T)
+    luts.append(LutTable(Alphabet.canonical(6), s3))
+    for lut in luts:
+        n, t = lut.n, lut.table
+        comm = np.array_equal(t, t.T)
+        for alpha in (1.0, 0.2):
+            dp = Distribution(rng.dirichlet(np.full(n, alpha)))
+            dq = Distribution(rng.dirichlet(np.full(n, alpha)))
+            p, q = dp.p, dq.p
+            w = np.outer(p, q)
+            if comm:
+                w = (w + w.T) / 2.0
+            r = np.zeros(n)
+            np.add.at(r, t, w)
+            assert convolve(lut, dp, dq).p.tobytes() == Distribution(r).p.tobytes()
+            for m in (1, 2, 3, 7, 64, 1000):
+                assert power(lut, dp, m).p.tobytes() == _add_at_power(t, p, m).tobytes(), (n, m)
+            tv = 0.5 * float(np.abs(_add_at_convolve_raw(t, p, p) - p).sum())
+            assert is_stable(lut, dp, tv)
+            assert not is_stable(lut, dp, np.nextafter(tv, 0.0))

@@ -224,6 +224,60 @@ def test_check_commutative():
     assert check_commutative(lut) == (0, 1)
 
 
+def naive_first_comm_failure(table):
+    """Literal double loop, the independent oracle for check_commutative."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                return (i, j)
+    return None
+
+
+def test_check_commutative_matches_naive():
+    # random tables, and symmetric ones with one cell changed, which fail
+    # first at that cell or its mirror
+    rng = np.random.default_rng(53)
+    tables = []
+    for n in range(1, 13):
+        for _ in range(10):
+            tables.append(rng.integers(0, n, size=(n, n)))
+            upper = np.triu(rng.integers(0, n, size=(n, n)))
+            sym = upper + np.triu(upper, 1).T
+            tables.append(sym)
+            r, c = rng.integers(0, n, size=2)
+            sym = sym.copy()
+            sym[r, c] = (sym[r, c] + rng.integers(1, max(n, 2))) % n
+            tables.append(sym)
+    failures = 0
+    for table in tables:
+        want = naive_first_comm_failure(table.tolist())
+        n = len(table)
+        assert check_commutative(LutTable(Alphabet.canonical(n), table)) == want
+        assert lut_module.is_commutative(LutTable(Alphabet.canonical(n), table)) == (want is None)
+        failures += want is not None
+    assert 0 < failures < len(tables)
+
+
+def test_max_detection_memory_is_bounded():
+    # an intp index grid alone is 8 MiB at N = 1024; a group table, unmarked,
+    # must be turned away on its last row, in O(N)
+    n = 1024
+    i = np.arange(n)
+    got, peak = _traced_peak(lut_module._is_max, LutTable(Alphabet.canonical(n), np.maximum.outer(i, i)))
+    assert got is True
+    assert peak < 4 * 2**20
+    got, peak = _traced_peak(lut_module._is_max, LutTable(Alphabet.canonical(n), make_mod_lut(n).table))
+    assert got is False
+    assert peak < 64 * 2**10
+    # a max table changed above its last row, and the one-element tables
+    table = np.maximum.outer(i[:8], i[:8])
+    table[2, 5] = 4
+    assert not lut_module._is_max(LutTable(Alphabet.canonical(8), table))
+    assert lut_module._is_max(make_cyclic_lut(1))
+    assert lut_module._is_max(make_max_lut(1))
+
+
 def test_find_identity():
     assert find_identity(make_mod_lut(7)) == 0
     assert find_identity(make_max_lut(5)) == 0
