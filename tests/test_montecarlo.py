@@ -26,6 +26,21 @@ def test_sim_config_validation():
         SimConfig(seed=1, trials=10, m=0)
 
 
+def test_sim_config_takes_any_integer():
+    # rng.integers returns numpy integers; floats and bools are mistakes
+    lut, p = make_mod_lut(3), Distribution([0.2, 0.5, 0.3])
+    got = {
+        empirical_fold(lut, p, SimConfig(seed=seed, trials=trials, m=m)).p.tobytes()
+        for seed, trials, m in ((3, 500, 2), (np.int64(3), np.int32(500), np.int8(2)), (np.uint64(3), 500, np.uint64(2)))
+    }
+    assert len(got) == 1
+    assert SimConfig(seed=np.uint64(2**64 - 1), trials=1, m=1).seed == 2**64 - 1
+    for field in ("seed", "trials", "m"):
+        for bad in (10.0, np.float64(10.0), True, np.True_, "10"):
+            with pytest.raises(ValidityError):
+                SimConfig(**{"seed": 1, "trials": 10, "m": 2, field: bad})
+
+
 def test_sample_index_examples():
     assert sample_index(Distribution.point_mass(4, 2), 0.99) == 2
     assert sample_index(Distribution([0.5, 0.5]), 0.7) == 1
@@ -187,6 +202,17 @@ def test_blocked_fold_matches_all_at_once_kernel():
     near_max = LutTable(Alphabet.canonical(16), near_max)
     assert _is_max(raw_max) and not _is_max(near_max)
     cases += [(raw_max, laws[1]), (near_max, laws[1])]
+    # Z_5 x max_5 through a random relabeling (N = 25, neither cyclic nor
+    # max), and a law whose first mass is zero, so its first threshold is 0
+    a, b = np.divmod(np.arange(25), 5)
+    product = ((a[:, None] + a[None, :]) % 5) * 5 + np.maximum.outer(b, b)
+    sigma = rng.permutation(25)
+    relabeled = np.empty_like(product)
+    relabeled[np.ix_(sigma, sigma)] = sigma[product]
+    q = rng.dirichlet(np.full(25, 0.3))
+    q[0] = 0.0
+    cases += [(LutTable(Alphabet.canonical(25), relabeled), Distribution(rng.dirichlet(np.full(25, 0.5)))),
+              (make_mod_lut(25), Distribution(q / q.sum()))]
     for lut, p in cases:
         assert p.p[-1] > 0
         for trials in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
@@ -253,7 +279,8 @@ def _capped_wide_law():
 
 
 def test_integer_guide_is_exact():
-    # the fold draws from 53-bit words w, u = w * 2^-53, with no float left:
+    # the fold draws from raw outputs o standing for 53-bit words w = o >> 11,
+    # u = w * 2^-53, with no float left:
     # it must match the float inverse CDF at every threshold and bucket edge
     from pseudosum.montecarlo import _GUIDE_DOUBLINGS, _InverseCdf
 
@@ -279,15 +306,67 @@ def test_integer_guide_is_exact():
         cdf = np.cumsum(p)
         guide = _InverseCdf(p)
         t = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64)
-        edges = np.arange(guide.k + 1, dtype=np.uint64) << np.uint64(guide.shift)
+        edges = np.arange(guide.k + 1, dtype=np.uint64) << np.uint64(guide.shift - 11)
         ends = np.array([0, 2**53 - 1], dtype=np.uint64)
         w = np.concatenate([t - 1, t, t + 1, edges - 1, edges, ends, splitmix])
         w = w[w < 2**53]  # t - 1 and edges - 1 wrap at 0
         want = np.minimum(np.searchsorted(cdf, w * 2.0**-53, side="right"), np.flatnonzero(p)[-1])
-        got = guide.words(w)
-        assert np.array_equal(got, want), p.size
-        assert got.max() < p.size  # never the sentinel index N
-        assert p[got].min() > 0
+        # the guide reads raw outputs o, w = o >> 11: both ends of the 11 dropped bits
+        for o in (w << np.uint64(11), (w << np.uint64(11)) | np.uint64(0x7FF)):
+            got = guide.index(o)
+            assert np.array_equal(got, want), p.size
+            assert got.max() < p.size  # never the sentinel index N
+            assert p[got].min() > 0
+
+
+def _doubling_guide(p):
+    """The guide sizing that the counting build replaced: a searchsorted of
+    every bucket edge per candidate size.  Returns K, whether a bucket is
+    wide, the answer at every edge b 2^s (b = 0..K), s, and the thresholds."""
+    from pseudosum.montecarlo import _GUIDE_DOUBLINGS, _capped_cdf
+
+    cdf = _capped_cdf(p)
+    finite = np.isfinite(cdf)
+    t = np.full(p.size, np.iinfo(np.uint64).max, dtype=np.uint64)
+    t[finite] = np.ceil(cdf[finite] * 2.0**53)
+    base = (8 * p.size - 1).bit_length()
+    for bits in range(base, base + _GUIDE_DOUBLINGS + 1):
+        edges = np.arange((1 << bits) + 1, dtype=np.uint64) << np.uint64(53 - bits)
+        g = np.searchsorted(t, edges, side="right")
+        wide = np.diff(g) >= 2
+        if not wide.any():
+            break
+    return 1 << bits, bool(wide.any()), g, 53 - bits, t
+
+
+def test_counting_guide_matches_doubling_search():
+    from pseudosum.montecarlo import _InverseCdf
+
+    rng = np.random.default_rng(2718)
+    laws = []
+    for n in range(1, 301):
+        q = rng.dirichlet(np.full(n, (0.05, 0.3, 1.0, 5.0)[n % 4]))
+        if n > 1:
+            q[rng.random(n) < 0.2 * (n % 2)] = 0.0  # interior zeros: equal thresholds
+            q[0] *= n % 3 != 0  # a leading zero mass: threshold 0
+            q[n - 1 - n % 5:] *= n % 2  # trailing zeros: capped thresholds
+        if q.sum() == 0:
+            q[n // 2] = 1.0
+        laws.append(q / q.sum())
+    laws += [np.eye(n)[k] for n, k in ((1, 0), (2, 0), (2, 1), (9, 4), (300, 0), (300, 299))]
+    laws.append(_capped_wide_law())
+    for q in laws:
+        p = Distribution(q).p
+        k, wide, g, s, t = _doubling_guide(p)
+        guide = _InverseCdf(p)
+        assert (guide.k, guide.any_wide) == (k, wide), p.size
+        # the first and the last word of every bucket, as raw outputs
+        edges = np.arange(k, dtype=np.uint64) << np.uint64(s)
+        assert np.array_equal(guide.index(edges << np.uint64(11)), g[:-1])
+        last = np.arange(1, k + 1, dtype=np.uint64) << np.uint64(s)
+        last -= np.uint64(1)
+        want = np.searchsorted(t, last, side="right")
+        assert np.array_equal(guide.index((last << np.uint64(11)) | np.uint64(0x7FF)), want)
 
 
 def test_fold_memory_is_bounded():
