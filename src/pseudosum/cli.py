@@ -205,9 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args) -> dict:
     lut = _load_lut(args)
-    # modN, maxN and perm:FILE tables are associative by construction: scan
-    # only a table without that mark
-    assoc = None if lut._assoc else check_associative(lut)
+    assoc = check_associative(lut)
     comm = check_commutative(lut)
     doc: dict = {"version": SCHEMA_VERSION, "n": lut.n, "associative": assoc is None}
     if assoc is not None:

@@ -152,10 +152,7 @@ def make_cyclic_lut(n: int, s: Permutation | None = None) -> LutTable:
         raise ValidityError("n must be >= 1")
     s = _ident(s, n)
     grid = (s.s[:, None] + s.s[None, :]) % n
-    lut = LutTable(Alphabet.canonical(n), s.inv[grid])
-    # a relabeled Z_n is an abelian group: nothing needs to re-derive that
-    lut._assoc = lut._comm = True
-    return lut
+    return LutTable(Alphabet.canonical(n), s.inv[grid])
 
 
 def make_mod_lut(n: int) -> LutTable:
@@ -339,6 +336,8 @@ def decompose_id(
     1..m-1, jump mass at 0 folded out of the intensity, and the shift
     reduced modulo m; it must reproduce p within 1e-7 TV.
     """
+    if not 0 <= tol < np.inf:  # NaN fails both
+        raise ValidityError(f"tol must be finite and >= 0, got {tol!r}")
     n = p.n
     s = _ident(s, n)
     q = _relabeled_raw(p, s)

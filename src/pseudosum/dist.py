@@ -25,12 +25,14 @@ MAX_ITERATIONS = "max_iterations"
 class Distribution:
     """A probability vector over alphabet indices 0..n-1.
 
-    Entries must be nonnegative and sum to 1 within ``tol``; the vector is
-    renormalized exactly on construction.
+    Entries must be nonnegative and sum to 1 within ``tol``.  The vector is
+    divided by its sum unless that is within N ulps of 1 (N * 2^-52), which
+    the sum of a divided vector is: wrapping a law again, or reading back its
+    own `to_json`, gives the same bits.
     """
 
     def __init__(self, p, tol: float = SUM_TOL):
-        arr = np.asarray(p, dtype=float)
+        arr = np.array(p, dtype=float)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size < 1:
             raise ValidityError("probability vector must be a non-empty 1-d sequence")
         if not np.isfinite(arr).all():
@@ -40,7 +42,8 @@ class Distribution:
         total = arr.sum()
         if abs(total - 1.0) > tol:
             raise ValidityError(f"probabilities sum to {total!r}, not 1 within {tol}")
-        arr = arr / total
+        if abs(total - 1.0) > arr.size * np.finfo(float).eps:
+            arr /= total
         arr.setflags(write=False)
         self.p = arr
 
@@ -185,8 +188,8 @@ def limit(
     payload is guaranteed stable at tolerance 2*tol.
     """
     _check_same_n(lut.n, p.n)
-    if tol <= 0:
-        raise ValidityError("tol must be positive")
+    if not 0 < tol < np.inf:  # NaN fails both
+        raise ValidityError(f"tol must be finite and > 0, got {tol!r}")
     if max_doublings < 1:
         raise ValidityError("max_doublings must be >= 1")
     if not is_associative(lut):

@@ -53,9 +53,7 @@ def make_max_lut(n: int) -> LutTable:
     if n < 1:
         raise ValidityError("n must be >= 1")
     idx = np.arange(n)
-    lut = LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
-    lut._assoc = lut._comm = lut._max = True  # max is associative and commutative
-    return lut
+    return LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
 
 
 def max_convolve(p: Distribution, q: Distribution) -> Distribution:

@@ -9,11 +9,14 @@ the numbers of every JSON document the package reads.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ValidityError
 
 _ASSOC_BLOCK = 1 << 20  # triples compared per block by check_associative
+CYCLIC, MAX, RAW = "cyclic", "max", "raw"  # the kinds of Structure
 
 
 def json_numbers(value, what: str) -> np.ndarray:
@@ -92,11 +95,9 @@ class LutTable:
         tab.setflags(write=False)
         self.alphabet = alphabet
         self.table = tab
-        # memoized by is_associative / is_commutative / _is_max; set up front
-        # by make_cyclic_lut and make_max_lut, whose tables are so by construction
+        # memoized by structure and is_associative
+        self._structure: Structure | None = None
         self._assoc: bool | None = None
-        self._comm: bool | None = None
-        self._max: bool | None = None
 
     @property
     def n(self) -> int:
@@ -134,15 +135,62 @@ def apply(lut: LutTable, i: int, j: int) -> int:
     return int(lut.table[i, j])
 
 
+Structure = NamedTuple("Structure", [("kind", str), ("order", "np.ndarray | None"), ("commutative", bool)])
+
+
+def structure(lut: LutTable) -> Structure:
+    """The table's kind, read off its entries once, in O(N^2) time and O(N)
+    memory beyond one N^2 boolean.  MAX: table[x, y] is order[max(r[x], r[y])]
+    with rank r[x] = #{y : x (+) y = x} - 1; every element is idempotent.
+    CYCLIC: table[x, y] is inv[(order[x] + order[y]) % N], inv the inverse of
+    order; e, the one idempotent, is a two-sided identity, N/2 - 1 gathers
+    step the powers of all g at once to the first g with no g^k = e, k <= N/2
+    (in Z_N a generator, which serves), and order[g^k] = k.  Both kinds are
+    associative and commutative.  RAW: any other table, order None."""
+    if lut._structure is not None:
+        return lut._structure
+    # candidate labels lab, then one check, row by row, that lab relabels the
+    # table to op, against inv = argsort(lab) repeated so op's values need no mod
+    t, n = lut.table, lut.n
+    idx = np.arange(n)
+    idem = np.flatnonzero(np.diagonal(t) == idx)
+    kind, order = RAW, None
+    if idem.size == n:
+        kind, lab, op, copies = MAX, np.count_nonzero(t == idx[:, None], axis=1) - 1, np.maximum, 1
+    elif idem.size == 1 and np.array_equal(t[idem[0]], idx) and np.array_equal(t[:, idem[0]], idx):
+        e = x = idem[0]
+        power, alive = idx, idx != e  # power[g] = g^k; alive[g]: g^j != e for 0 < j <= k
+        for _ in range(n // 2 - 1):  # in Z_N a non-generator has order <= N/2
+            power = t.ravel()[power * n + idx]
+            alive &= power != e
+        if alive.any():
+            col, lab, power = t[:, alive.argmax()], np.full(n, -1), None  # drop power before the check
+            for k in range(n):
+                lab[x], x = k, col[x]
+            kind, op, copies = CYCLIC, np.add, 2
+    if kind != RAW:
+        look = np.tile(np.argsort(lab), copies)
+        if np.array_equal(lab[look[:n]], idx) and all((row == look[op(v, lab)]).all() for row, v in zip(t, lab)):
+            order = look[:n] if kind == MAX else lab
+            order.setflags(write=False)
+    commutative = order is not None or check_commutative(lut) is None
+    lut._structure = Structure(kind if order is not None else RAW, order, commutative)
+    return lut._structure
+
+
 def check_associative(lut: LutTable) -> tuple[int, int, int] | None:
     """None when A(i, A(j,k)) == A(A(i,j), k) holds for all triples, else the
     lexicographically smallest failing (i, j, k).
 
-    Scans blocks of rows i in order and returns at the first block holding a
-    failure, so working memory is O(block + N^2), not O(N^3).
+    Cyclic and max tables (`structure`) pass unscanned; others are scanned in
+    row blocks up to the first failing one, in O(block + N^2) memory.
     """
-    n = lut.n
-    t = lut.table.astype(np.min_scalar_type(n - 1))
+    return None if structure(lut).kind != RAW else _scan_associative(lut.table)
+
+
+def _scan_associative(table: np.ndarray) -> tuple[int, int, int] | None:
+    n = table.shape[0]
+    t = table.astype(np.min_scalar_type(n - 1))
     rows = max(1, _ASSOC_BLOCK // (n * n))
     for lo in range(0, n, rows):
         blk = t[lo : lo + rows]
@@ -164,23 +212,7 @@ def is_associative(lut: LutTable) -> bool:
 
 
 def is_commutative(lut: LutTable) -> bool:
-    if lut._comm is None:
-        lut._comm = check_commutative(lut) is None
-    return lut._comm
-
-
-def _is_max(lut: LutTable) -> bool:
-    """True when table[i, j] == max(i, j) for every pair of indices.
-
-    A max table's last row is all N - 1, which rules out most other tables
-    (any group's, for N > 1) in O(N); the full compare builds its index grid
-    in the smallest type that holds N - 1, not intp."""
-    if lut._max is None:
-        n = lut.n
-        idx = np.arange(n, dtype=np.min_scalar_type(n - 1))
-        last_row = (lut.table[-1] == n - 1).all()
-        lut._max = bool(last_row and np.array_equal(lut.table, np.maximum.outer(idx, idx)))
-    return lut._max
+    return structure(lut).commutative
 
 
 def check_commutative(lut: LutTable) -> tuple[int, int] | None:

@@ -20,7 +20,8 @@ until one probe settles every bucket (or to a fixed cap), and the few draws
 in buckets it leaves wide are found by their sentinel index and
 binary-searched.  A generic fold step adds the drawn index to the trial's
 row offset (row * N) and gathers the next one from the table scaled by N.
-On a max table each trial draws once, from the largest of its m outputs.
+On a max table, in any relabeling, a trial draws its rank once, from the
+largest of its m outputs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution
-from .lut import LutTable, _is_max
+from .lut import MAX, LutTable, structure
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -146,15 +147,23 @@ class _InverseCdf:
                 break
         k, s, shift = 1 << bits, 53 - bits, 64 - bits
         count = np.bincount(bucket, minlength=k)
-        g = np.cumsum(count) - count + zeros
-        b = np.arange(k, dtype=np.uint64)
-        # t[g[b]] > b 2^s by the choice of g[b], so the difference is positive
-        d = np.minimum(t[g] - (b << s), _U64(1 << s))
-        probe = ((g.astype(np.uint64) - b) << shift) + (_U64(1 << shift) - (d << 11))
-        wide = count >= 2
-        probe[wide] = (_U64(n) - b[wide]) << shift
+        g = np.cumsum(count)
+        g -= count
+        g += zeros
+        # the entry is (g[b] << S) + 2^S - ((b 2^s + d) << 11), and
+        # b 2^s + d = min(t[g[b]], (b+1) 2^s): built in g's memory, read as uint64
+        d = np.arange(1, k + 1, dtype=np.uint64)
+        d <<= s
+        np.minimum(d, t[g], out=d)
+        d <<= 11
+        probe = g.view(np.uint64)
+        probe <<= shift
+        probe += _U64(1 << shift)
+        probe -= d
+        wide = np.flatnonzero(count >= 2).astype(np.uint64)
+        probe[wide] = (_U64(n) - wide) << shift
         self.n, self.k, self.shift, self.t, self.probe = n, k, shift, t, probe
-        self.any_wide = bool(wide.any())
+        self.any_wide = bool(wide.size)
 
     def index(self, o: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
         """The index drawn by each raw output o, written into out (intp);
@@ -195,19 +204,21 @@ def empirical_fold(
 
     Each trial left-folds m inverse-CDF samples through the table.  Trials
     are processed in fixed blocks, one fold step at a time, so memory stays
-    bounded whatever cfg.trials and cfg.m.  On a max table (table[i, j] ==
-    max(i, j)) a trial's fold is the draw of its largest output, since the
-    inverse CDF is monotone, so each block keeps a running maximum and draws
-    once.  `workers` must be >= 1; it is kept for compatibility and changes
-    neither the result nor the work.
+    bounded whatever cfg.trials and cfg.m.  On a max table in rank order
+    (`structure`), a trial's fold is the rank its largest output draws from
+    p[order], as that inverse CDF is monotone: each block keeps a running
+    maximum, draws once, and gives the counts back through order.  `workers`
+    must be >= 1; it is kept for compatibility and changes neither the
+    result nor the work.
     """
     if lut.n != p.n:
         raise ValidityError(f"dimension mismatch: {lut.n} != {p.n}")
     if workers < 1:
         raise ValidityError("workers must be >= 1")
     n, m = lut.n, cfg.m
-    guide = _InverseCdf(p.p)
-    fold_max = _is_max(lut)
+    st = structure(lut)
+    fold_max = st.kind == MAX  # a max table folds ranks: rank r has the mass of st.order[r]
+    guide = _InverseCdf(p.p[st.order] if fold_max else p.p)
     flat = lut.table.ravel()
     # every step but the last gathers a row offset, table * N, in place of
     # multiplying the running index by N; the last gathers the index itself
@@ -238,4 +249,6 @@ def empirical_fold(
                 np.add(ab, guide.index(ob, ib, tb), out=cb)
                 np.take(rows if j < m - 1 else flat, cb, out=ab, mode="clip")
         counts += np.bincount(ab, minlength=n)
+    if fold_max:  # counts by rank: give each to its element
+        counts[st.order] = counts.copy()
     return Distribution(counts / cfg.trials)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import pseudosum.lut as lut_module
 from pseudosum import make_mod_lut
 from pseudosum import cli
 from pseudosum.cli import main
@@ -56,23 +57,25 @@ def test_check_gen_and_counterexample(tmp_path, capsys):
     assert doc["counterexample"] == [1, 0, 1]
 
 
-def test_check_gen_uses_the_mark(tmp_path, capsys, monkeypatch):
-    # built-in tables are marked associative: their documents equal those of
-    # the same tables read from a file, which are scanned
+def test_check_gen_and_lut_agree_without_a_scan(tmp_path, capsys, monkeypatch):
+    # built-in tables and the same tables read from a file are recognized by
+    # their entries: neither is scanned, and their documents are equal.  The
+    # scan itself, run once beforehand, agrees that they are associative.
     rng = np.random.default_rng(5)
     gens = []
     for n in range(1, 13):
         gens += [f"mod{n}", f"max{n}"]
         s = write(tmp_path / f"s{n}.json", {"n": n, "s": rng.permutation(n).tolist()})
         gens.append(f"perm:{s}")
-    scanned = {}
-    for gen in gens:
-        lut = write(tmp_path / "lut.json", cli._load_lut(argparse.Namespace(gen=gen)).to_json())
-        scanned[gen] = run(capsys, ["check", "--lut", lut])
+    luts = {gen: cli._load_lut(argparse.Namespace(gen=gen)) for gen in gens}
+    assert all(lut_module._scan_associative(lut.table) is None for lut in luts.values())
     calls = []
-    monkeypatch.setattr(cli, "check_associative", lambda lut: calls.append(lut))
-    for gen in gens:
-        assert run(capsys, ["check", "--gen", gen]) == scanned[gen], gen
+    monkeypatch.setattr(lut_module, "_scan_associative", lambda table: calls.append(table))
+    for gen, lut in luts.items():
+        path = write(tmp_path / "lut.json", lut.to_json())
+        code, doc = run(capsys, ["check", "--lut", path])
+        assert code == 0 and doc["associative"] is True and doc["commutative"] is True
+        assert run(capsys, ["check", "--gen", gen]) == (code, doc), gen
     assert calls == []
 
 
@@ -271,6 +274,13 @@ HALF = {"n": 2, "p": [0.5, 0.5]}
          ["check", "--lut", "{t}"], "alphabet values must be finite"),
         ({"t": {"n": 2, "alphabet": [float("inf"), 0.0], "table": [[0, 1], [1, 0]]}},
          ["check", "--lut", "{t}"], "alphabet values must be finite"),
+        # a non-finite --tol used to raise from math.ceil, or run every doubling
+        ({"d": HALF}, ["id", "--dist", "{d}", "--decompose", "--tol", "nan"], "tol must be finite and >= 0"),
+        ({"d": HALF}, ["id", "--dist", "{d}", "--check", "--tol", "inf"], "tol must be finite and >= 0"),
+        ({"d": HALF}, ["id", "--dist", "{d}", "--decompose", "--tol", "-1"], "tol must be finite and >= 0"),
+        ({"d": HALF}, ["limit", "--gen", "mod2", "--dist", "{d}", "--tol", "nan"], "tol must be finite and > 0"),
+        ({"d": HALF}, ["limit", "--gen", "mod2", "--dist", "{d}", "--tol", "inf"], "tol must be finite and > 0"),
+        ({"d": HALF}, ["limit", "--gen", "mod2", "--dist", "{d}", "--tol", "-1"], "tol must be finite and > 0"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -173,33 +174,111 @@ def test_check_associative_memory_is_bounded():
     got, peak = _traced_peak(check_associative, lut)
     assert got == want == (0, 1, 699)
     assert peak < 64 * 2**20
-    # an associative table without structure marks: the scan visits every block
-    n = 512
-    lut = LutTable(Alphabet.canonical(n), make_mod_lut(n).table)
+    # an associative table that is neither cyclic nor max, Z_2 x Z_256: the
+    # scan visits every block
+    a, b = np.divmod(np.arange(512), 256)
+    lut = LutTable(Alphabet.canonical(512), ((a[:, None] + a) % 2) * 256 + (b[:, None] + b) % 256)
+    assert lut_module.structure(lut).kind == lut_module.RAW
     got, peak = _traced_peak(check_associative, lut)
     assert got is None
     assert peak < 64 * 2**20
 
 
-def test_structure_marks_agree_with_checks(monkeypatch):
+def test_structure_agrees_with_checks(monkeypatch):
     rng = np.random.default_rng(58)
     luts = []
     for n in range(1, 13):
         luts.append(make_max_lut(n))
         luts += [make_cyclic_lut(n, Permutation(rng.permutation(n))) for _ in range(5)]
     for lut in luts:
-        # marked at construction, before any check ran
-        assert lut._assoc is True and lut._comm is True
-        assert check_associative(lut) is None
+        st = lut_module.structure(lut)
+        if st.kind == lut_module.MAX:
+            assert lut.n == 1 or np.array_equal(lut.table, make_max_lut(lut.n).table)
+            assert np.array_equal(st.order, np.arange(lut.n))
+        else:
+            assert st.kind == lut_module.CYCLIC
+            assert np.array_equal(make_cyclic_lut(lut.n, Permutation(st.order)).table, lut.table)
+        assert st.commutative
+        assert lut_module._scan_associative(lut.table) is None
         assert check_commutative(lut) is None
 
-    # power on a marked table never runs the scan
-    def no_scan(lut):
-        raise AssertionError("check_associative called on a marked table")
+    # power on a recognized table never runs the scan, however it was built
+    def no_scan(table):
+        raise AssertionError("associativity scan run on a recognized table")
 
-    monkeypatch.setattr(lut_module, "check_associative", no_scan)
+    monkeypatch.setattr(lut_module, "_scan_associative", no_scan)
     for lut in (make_mod_lut(6), make_max_lut(6)):
-        assert power(lut, Distribution.uniform(6), 3).n == 6
+        for table in (lut, LutTable(Alphabet.canonical(6), lut.table)):
+            assert check_associative(table) is None
+            assert power(table, Distribution.uniform(6), 3).n == 6
+
+
+def _relabeled_models(n):
+    """{table bytes: kind} for every relabeling of max_N and of Z_N, over
+    all N! permutations; MAX wins where both give one table, as at N = 1."""
+    idx = np.arange(n)
+    found = {}
+    for kind, op in ((lut_module.CYCLIC, (idx[:, None] + idx) % n), (lut_module.MAX, np.maximum.outer(idx, idx))):
+        for perm in itertools.permutations(range(n)):
+            lab = np.array(perm)  # lab[x]: the element x stands for in the model table
+            found[np.argsort(lab)[op[lab[:, None], lab]].tobytes()] = kind
+    return found
+
+
+def test_structure_matches_brute_force_over_relabelings():
+    rng = np.random.default_rng(59)
+
+    def relabel(table):
+        sigma = rng.permutation(len(table))
+        out = np.empty_like(table)
+        out[np.ix_(sigma, sigma)] = sigma[table]
+        return out
+
+    klein = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+    s3 = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 0, 4, 3, 1],
+          [3, 4, 5, 0, 1, 2], [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4]]
+    a, b = np.arange(6) % 2, np.arange(6) // 2  # x = 2b + a in Z_2 x Z_3, which is cyclic
+    z2z3 = (b[:, None] + b) % 3 * 2 + (a[:, None] + a) % 2
+    assert lut_module.structure(LutTable(Alphabet.canonical(6), z2z3)).kind == lut_module.CYCLIC
+    seeds = [klein, np.array(s3), z2z3, _cyclic_max_product(2, 2), _cyclic_max_product(2, 3),
+             _cyclic_max_product(3, 2)]
+    tables, perturbed = [], []
+    for n in range(1, 7):
+        idx = np.arange(n)
+        for base in ((idx[:, None] + idx) % n, np.maximum.outer(idx, idx)):
+            tables += [relabel(base) for _ in range(4)]
+            one = relabel(base)
+            for r, c, v in itertools.product(range(n), range(n), range(n)):
+                if v != one[r, c]:
+                    t = one.copy()
+                    t[r, c] = v
+                    perturbed.append(t)
+            for _ in range(4):  # two entries of a row swapped: often still a latin square
+                t = relabel(base)
+                r, c1, c2 = rng.integers(0, n, size=3)
+                t[r, [c1, c2]] = t[r, [c2, c1]]
+                tables.append(t)
+        tables += [rng.integers(0, n, size=(n, n)) for _ in range(20)]
+    tables += [relabel(t) for t in seeds for _ in range(3)]
+    models = {n: _relabeled_models(n) for n in range(1, 7)}
+    recognized = 0
+    for k, table in enumerate(tables + perturbed):
+        lut = LutTable(Alphabet.canonical(len(table)), table)
+        st = lut_module.structure(lut)
+        assert st.kind == models[len(table)].get(lut.table.tobytes(), lut_module.RAW)
+        # a changed cell is always rejected, except at N = 2, where Z_2 with
+        # one cell changed is max_2
+        assert k < len(tables) or len(table) <= 2 or st.kind == lut_module.RAW
+        if st.kind != lut_module.RAW:
+            recognized += 1
+            assert naive_first_assoc_failure(table.tolist()) is None
+            assert np.array_equal(table, table.T) and st.commutative
+            lab = np.argsort(st.order) if st.kind == lut_module.MAX else st.order
+            op = np.maximum if st.kind == lut_module.MAX else lambda a, b: (a + b) % len(table)
+            assert np.array_equal(np.argsort(lab)[op(lab[:, None], lab)], table)
+        else:
+            assert st.commutative == (naive_first_comm_failure(table.tolist()) is None)
+    assert recognized >= 90
 
 
 def test_counterexample_reproduces_inequality():
@@ -259,23 +338,23 @@ def test_check_commutative_matches_naive():
     assert 0 < failures < len(tables)
 
 
-def test_max_detection_memory_is_bounded():
-    # an intp index grid alone is 8 MiB at N = 1024; a group table, unmarked,
-    # must be turned away on its last row, in O(N)
+def test_structure_memory_is_bounded():
+    # an intp index grid alone is 8 MiB at N = 1024; a group table must be
+    # recognized in O(N) memory, with no N^2 array at all
     n = 1024
     i = np.arange(n)
-    got, peak = _traced_peak(lut_module._is_max, LutTable(Alphabet.canonical(n), np.maximum.outer(i, i)))
-    assert got is True
+    got, peak = _traced_peak(lut_module.structure, LutTable(Alphabet.canonical(n), np.maximum.outer(i, i)))
+    assert got.kind == lut_module.MAX
     assert peak < 4 * 2**20
-    got, peak = _traced_peak(lut_module._is_max, LutTable(Alphabet.canonical(n), make_mod_lut(n).table))
-    assert got is False
+    got, peak = _traced_peak(lut_module.structure, LutTable(Alphabet.canonical(n), make_mod_lut(n).table))
+    assert got.kind == lut_module.CYCLIC
     assert peak < 64 * 2**10
     # a max table changed above its last row, and the one-element tables
     table = np.maximum.outer(i[:8], i[:8])
     table[2, 5] = 4
-    assert not lut_module._is_max(LutTable(Alphabet.canonical(8), table))
-    assert lut_module._is_max(make_cyclic_lut(1))
-    assert lut_module._is_max(make_max_lut(1))
+    assert lut_module.structure(LutTable(Alphabet.canonical(8), table)).kind == lut_module.RAW
+    assert lut_module.structure(make_cyclic_lut(1)).kind == lut_module.MAX
+    assert lut_module.structure(make_max_lut(1)).kind == lut_module.MAX
 
 
 def test_find_identity():

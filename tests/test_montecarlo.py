@@ -179,7 +179,7 @@ def test_reference_uniforms_are_splitmix64():
 
 
 def test_blocked_fold_matches_all_at_once_kernel():
-    from pseudosum.lut import _is_max
+    from pseudosum.lut import MAX, RAW, structure
     from pseudosum.montecarlo import _BLOCK
 
     rng = np.random.default_rng(77)
@@ -200,7 +200,7 @@ def test_blocked_fold_matches_all_at_once_kernel():
     k = int(laws[1].p.argmax())
     near_max[k, k] = (k + 1) % 16
     near_max = LutTable(Alphabet.canonical(16), near_max)
-    assert _is_max(raw_max) and not _is_max(near_max)
+    assert structure(raw_max).kind == MAX and structure(near_max).kind == RAW
     cases += [(raw_max, laws[1]), (near_max, laws[1])]
     # Z_5 x max_5 through a random relabeling (N = 25, neither cyclic nor
     # max), and a law whose first mass is zero, so its first threshold is 0
@@ -222,6 +222,28 @@ def test_blocked_fold_matches_all_at_once_kernel():
                 for workers in (1, 3, trials + 5):
                     got = empirical_fold(lut, p, cfg, workers=workers)
                     assert got.p.tobytes() == want, (lut.n, trials, m, workers)
+
+
+def test_relabeled_max_folds_in_rank_order():
+    # a max table through a relabeling draws ranks from the law p[order] and
+    # gives the counts back to the elements: the identity-max fold of p[order]
+    from pseudosum.lut import MAX, structure
+    from pseudosum.montecarlo import _BLOCK
+
+    rng = np.random.default_rng(79)
+    for n in (1, 2, 7, 16, 64):
+        sigma = rng.permutation(n)
+        lut = LutTable(Alphabet.canonical(n), sigma[np.maximum.outer(np.argsort(sigma), np.argsort(sigma))])
+        order = structure(lut).order
+        assert structure(lut).kind == MAX and np.array_equal(order, sigma)
+        for alpha in (0.2, 1.0):
+            p = Distribution(rng.dirichlet(np.full(n, alpha)))
+            for trials, m in ((1, 1), (_BLOCK + 1, 2), (999, 33)):
+                cfg = SimConfig(seed=int(rng.integers(2**63)), trials=trials, m=m)
+                got = empirical_fold(lut, p, cfg)
+                want = empirical_fold(make_max_lut(n), Distribution(p.p[order]), cfg)
+                assert want.p.tobytes() == _ref_fold(make_max_lut(n), Distribution(p.p[order]), cfg).p.tobytes()
+                assert got.p[order].tobytes() == want.p.tobytes(), (n, trials, m)
 
 
 def test_guide_table_is_exact():
