@@ -22,7 +22,7 @@ from .lut import (
     find_idempotents,
     find_identity,
 )
-from .dist import CONVERGED, CYCLE, Distribution, convolve, limit, power, tv_distance
+from .dist import CONVERGED, CYCLE, FIXED_POINT_TOL, Distribution, convolve, limit, power, tv_distance
 from .cyclic import (
     Permutation,
     StableLaw,
@@ -75,13 +75,8 @@ def _load_dist(path: str) -> Distribution:
     return Distribution.from_json(_read_json(path))
 
 
-def _load_perm(path: str | None, n: int) -> Permutation | None:
-    if path is None:
-        return None
-    perm = Permutation.from_json(_read_json(path))
-    if perm.n != n:
-        raise ValidityError(f"permutation size {perm.n} does not match n={n}")
-    return perm
+def _load_perm(path: str | None) -> Permutation | None:
+    return None if path is None else Permutation.from_json(_read_json(path))
 
 
 _GEN_RE = re.compile(r"^(mod|max)(\d+)$")
@@ -153,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("limit", help="limit of fold powers by doubling")
     _add_table_args(sub)
     sub.add_argument("--dist", required=True)
-    sub.add_argument("--tol", type=float, default=1e-12)
+    sub.add_argument("--tol", type=float, default=FIXED_POINT_TOL)
     sub.add_argument("--max-doublings", type=int, default=64)
     sub.add_argument("--out")
 
@@ -242,7 +237,7 @@ def _cmd_limit(args) -> dict:
 
 def _cmd_stable(args) -> dict:
     n = args.enumerate
-    perm = _load_perm(args.perm, n)
+    perm = _load_perm(args.perm)
     laws = [
         {"m": law.m, "r": law.r, "p": dist.p.tolist()}
         for law, dist in enumerate_stable(n, perm)
@@ -252,7 +247,7 @@ def _cmd_stable(args) -> dict:
 
 def _cmd_doa(args) -> dict:
     p = _load_dist(args.dist)
-    perm = _load_perm(args.perm, p.n)
+    perm = _load_perm(args.perm)
     if args.target is not None:
         if args.target < 1 or p.n % args.target != 0:
             raise ValidityError(f"target {args.target} must be a divisor of n={p.n}")
@@ -270,7 +265,7 @@ def _cmd_doa(args) -> dict:
 
 def _cmd_id(args) -> dict:
     p = _load_dist(args.dist)
-    perm = _load_perm(args.perm, p.n)
+    perm = _load_perm(args.perm)
     if args.decompose:
         d = decompose_id(p, perm, tol=args.tol)
         doc: dict = {"version": SCHEMA_VERSION}
@@ -292,7 +287,7 @@ def _cmd_id(args) -> dict:
 
 def _cmd_spectrum(args) -> dict:
     p = _load_dist(args.dist)
-    perm = _load_perm(args.perm, p.n)
+    perm = _load_perm(args.perm)
     f = spectrum(p, perm).f
     return {
         "version": SCHEMA_VERSION,

@@ -19,17 +19,17 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution, convolve, power, tv_distance
-from .lut import Alphabet, LutTable, json_integers, json_size
+from .lut import MASS_EPS, Alphabet, LutTable, json_integers, json_size
 
-ZERO_EPS = 1e-9    # |spectrum value| at or below this counts as a true zero
-_MASS_EPS = 1e-12  # a point mass at or below this counts as absent from a support
+ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
+_ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
 
 
 class Permutation:
     """A bijection s of 0..n-1 together with its inverse."""
 
     def __init__(self, s):
-        arr = np.array(s, dtype=np.intp)  # a copy: the caller's array stays writable
+        arr = json_integers(s, "permutation")  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size < 1:
             raise ValidityError("permutation must be a non-empty 1-d sequence")
         if not np.array_equal(np.sort(arr), np.arange(arr.size)):
@@ -52,12 +52,13 @@ class Permutation:
     @classmethod
     def from_json(cls, doc: dict) -> "Permutation":
         try:
-            n, s = json_size(doc["n"]), json_integers(doc["s"], "permutation")
+            n, s = json_size(doc["n"]), doc["s"]
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"permutation document missing field: {exc}") from exc
-        if s.ndim == 1 and s.size != n:
-            raise ValidityError(f"permutation length {s.size} does not match n={n}")
-        return cls(s)
+        perm = cls(s)
+        if perm.n != n:
+            raise ValidityError(f"permutation length {perm.n} does not match n={n}")
+        return perm
 
     def to_json(self) -> dict:
         return {"n": self.n, "s": self.s.tolist()}
@@ -265,7 +266,7 @@ def doa_attractor(p: Distribution, s: Permutation | None = None) -> StableLaw | 
     absent from the support.
     """
     s = _ident(s, p.n)
-    support = s.s[p.p > _MASS_EPS]
+    support = s.s[p.p > MASS_EPS]
     g = math.gcd(p.n, *(support - support[0]).tolist())
     return StableLaw(g, p.n // g) if support[0] % g == 0 else None
 
@@ -414,41 +415,44 @@ def is_infinitely_divisible(
 def nth_root_oracle(
     p: Distribution, n_parts: int, s: Permutation | None = None
 ) -> Distribution | None:
-    """Brute-force witness for n-fold divisibility: a law q whose n_parts-fold
-    pseudo-sum, shifted by some point, reproduces p within 1e-8.
-
-    Enumerates every shift and every branch assignment of the n-th roots of
-    the relabeled spectrum (zero values take root zero), inverts each
-    candidate, and verifies the first valid one through the fold itself.
-    Guarded to n <= 8 alphabet points and n_parts <= 4.
-    """
+    """Exhaustive witness for n-fold divisibility: the first law q, over all
+    shifts and all branches c of the n_parts-th root of the relabeled spectrum
+    in lexicographic order, whose inverse is real and nonnegative to 1e-10
+    and whose n_parts-fold pseudo-sum, shifted, is within 1e-8 TV of p; or
+    None.  A real inverse needs |c[N - v] - conj(c[v])| <= 2 N 1e-10
+    (Parseval), and two branches of one root differ far more, so each free
+    frequency v <= N/2 keeps only the branch pairs within 1e-8 of conjugate
+    (real roots at v = N/2): at most n_parts^(N // 2) candidates per shift.
+    Raises ValidityError when n_parts^(N // 2) N^2, which bounds the
+    candidates and the N^2 verifying table, exceeds 2^20."""
     n = p.n
-    if n > 8 or n_parts > 4:
-        raise ValidityError("oracle guard: requires n <= 8 and n_parts <= 4")
     if n_parts < 1:
         raise ValidityError("n_parts must be >= 1")
+    if (n // 2) * math.log2(n_parts) + 2 * math.log2(n) > math.log2(_ROOT_CELLS):
+        raise ValidityError(f"root search too large: {n_parts}^{n // 2} * {n}^2 > {_ROOT_CELLS}")
     s = _ident(s, n)
     f = _spectrum_raw(_relabeled_raw(p, s))
     lut = make_cyclic_lut(n, s)
     t = np.arange(n)
+    digit = np.arange(n_parts if n > 1 else 1)  # N = 1: any n_parts passes, no branch is used
+    branch = np.exp(2j * np.pi * digit / n_parts)
     for a_rel in range(n):
         target = f * np.exp(-2j * np.pi * a_rel * t / n)
-        zero = np.abs(target) <= ZERO_EPS
+        nz = np.abs(target) > ZERO_EPS
         base = np.zeros(n, dtype=complex)
-        nz = ~zero
         base[nz] = np.abs(target[nz]) ** (1.0 / n_parts) * np.exp(
             1j * np.angle(target[nz]) / n_parts
         )
         base[0] = 1.0
-        free = [v for v in range(1, n) if not zero[v]]
-        k = len(free)
-        count = n_parts**k
-        digits = (
-            np.arange(count)[:, None] // n_parts ** np.arange(k - 1, -1, -1)
-        ) % n_parts
-        cands = np.repeat(base[None, :], count, axis=0)
-        if k:
-            cands[:, free] = cands[:, free] * np.exp(2j * np.pi * digits / n_parts)
+        cands = base[None, :]
+        for v in np.flatnonzero(nz[1 : n // 2 + 1]) + 1:
+            rv, rw = base[v] * branch, base[n - v] * branch
+            # whether rw[j] is near conj(rv[i]) depends on (i + j) % n_parts only
+            j = (np.argmin(np.abs(rw - np.conj(base[v]))) - digit) % n_parts
+            keep = (np.abs(rw[j] - np.conj(rv)) <= 1e-8) & ((2 * v != n) | (digit == j))
+            rows = cands.shape[0]
+            cands = np.repeat(cands, np.count_nonzero(keep), axis=0)
+            cands[:, v], cands[:, n - v] = np.tile(rv[keep], rows), np.tile(rw[j[keep]], rows)
         Q = np.fft.fft(cands, axis=1) / n
         ok = (np.abs(Q.imag).max(axis=1) <= 1e-10) & (Q.real.min(axis=1) >= -1e-10)
         for row in np.flatnonzero(ok):

@@ -12,9 +12,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution
-from .lut import Alphabet, LutTable
-
-_TAIL_EPS = 1e-12  # "no mass above x" tolerance
+from .lut import MASS_EPS, Alphabet, LutTable
 
 
 class Cdf:
@@ -80,7 +78,7 @@ def max_doa(p: Distribution, x: int) -> bool:
     no mass above x and positive mass at x."""
     if not 0 <= x < p.n:
         raise ValidityError(f"index {x} out of range for n={p.n}")
-    return bool(p.p[x + 1 :].sum() <= _TAIL_EPS and p.p[x] > 0.0)
+    return bool(p.p[x + 1 :].sum() <= MASS_EPS and p.p[x] > 0.0)
 
 
 def max_nth_root(p: Distribution, n_parts: int) -> Distribution:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ValidityError
 
 _ASSOC_BLOCK = 1 << 20  # triples compared per block by check_associative
+MASS_EPS = 1e-12  # mass at or below this counts as absent (a point, or a tail)
 CYCLIC, MAX, RAW = "cyclic", "max", "raw"  # the kinds of Structure
 
 
@@ -32,8 +33,8 @@ def json_numbers(value, what: str) -> np.ndarray:
 
 
 def json_integers(value, what: str) -> np.ndarray:
-    """As json_numbers, cast to intp; a float entry must be integral (2.0,
-    not 2.5) and within the int64 range."""
+    """As json_numbers, copied to intp; a float entry must be integral (2.0,
+    not 2.5 or NaN) and within the int64 range."""
     arr = json_numbers(value, what)
     if arr.dtype.kind == "f" and not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62)).all():
         raise ValidityError(f"{what} entries must be integers")
@@ -86,7 +87,7 @@ class LutTable:
     """
 
     def __init__(self, alphabet: Alphabet, table):
-        tab = np.array(table, dtype=np.intp)  # a copy: the caller's array stays writable
+        tab = json_integers(table, "table")  # a copy: the caller's array stays writable
         n = alphabet.n
         if tab.shape != (n, n):
             raise ValidityError(f"table must be {n}x{n}, got shape {tab.shape}")
@@ -113,8 +114,7 @@ class LutTable:
             raise ValidityError(f"lut document missing field: {exc}") from exc
         if alphabet.ndim == 1 and alphabet.size != n:
             raise ValidityError(f"alphabet length {alphabet.size} does not match n={n}")
-        tab = json_integers(table, "table")
-        return cls(Alphabet(alphabet), tab)
+        return cls(Alphabet(alphabet), table)
 
     def to_json(self) -> dict:
         return {
@@ -262,7 +262,7 @@ def verify_left_subtraction(lut: LutTable, subset) -> bool:
     return True
 
 
-def degenerate_doa_necessary(lut: LutTable, x: int, p, tol: float = 1e-12) -> bool:
+def degenerate_doa_necessary(lut: LutTable, x: int, p, tol: float = MASS_EPS) -> bool:
     """Necessary condition for p to be attracted to the point mass at x:
     all mass must sit on { y : x (+) y = x }.
 

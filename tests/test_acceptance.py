@@ -229,59 +229,29 @@ def test_criterion_5_id_roundtrip():
     _report("criterion 5: ID roundtrip", True, f"{count} factorizations + stable laws")
 
 
-def _shifted_root(p, n_parts):
-    """Exact shifted fold-root search at any order (identity labels).
-
-    Enumerates nth_root_oracle's own candidates -- every shift, and every
-    branch of the n_parts-th root at each nonzero frequency -- except the
-    conjugate-inconsistent ones.  A candidate c whose inverse is real to 1e-10
-    satisfies |c[N - v] - conj(c[v])| <= 2 N 1e-10 (Parseval), so only branch
-    pairs within 1e-8 of conjugate are kept, and at the half frequency only
-    real roots; two branches of one root differ by |c| |1 - exp(2i pi / n)|,
-    far more.  Survivors pass the oracle's own tests: 1e-10 on the inverse,
-    then 1e-8 TV on the verifying fold through power and convolve.  The
-    candidate count is about n_parts^((N - 1) // 2) per shift, against the
-    oracle's n_parts^(N - 1), so it runs past the oracle's guard
-    (N <= 8, n_parts <= 4).
-    """
+def _dense_root_bytes(p, n_parts):
+    """The bytes of nth_root_oracle(p, n_parts) by its definition: every shift
+    and every branch digit at each nonzero frequency, in lexicographic order."""
     n = p.n
     f = spectrum(p).f
     lut = make_cyclic_lut(n)
     t = np.arange(n)
-    branch = np.exp(2j * np.pi * np.arange(n_parts) / n_parts)
     for a in range(n):
         target = f * np.exp(-2j * np.pi * a * t / n)
-        zero = np.abs(target) <= ZERO_EPS
+        nz = np.abs(target) > ZERO_EPS
         base = np.zeros(n, dtype=complex)
-        nz = ~zero
-        base[nz] = np.abs(target[nz]) ** (1.0 / n_parts) * np.exp(
-            1j * np.angle(target[nz]) / n_parts
-        )
+        base[nz] = np.abs(target[nz]) ** (1.0 / n_parts) * np.exp(1j * np.angle(target[nz]) / n_parts)
         base[0] = 1.0
-        # per free frequency v <= N/2: admissible values of (c[v], c[N - v])
-        options = []
-        for v in range(1, n // 2 + 1):
-            if zero[v]:
-                continue
-            rv, rw = base[v] * branch, base[n - v] * branch
-            i, j = np.nonzero(np.abs(rw[None, :] - np.conj(rv)[:, None]) <= 1e-8)
-            if 2 * v == n:
-                i, j = i[i == j], j[i == j]
-            options.append((v, rv[i], rw[j]))
-        cands = np.repeat(base[None, :], int(np.prod([len(o[1]) for o in options])), axis=0)
-        if options:
-            pick = np.indices([len(o[1]) for o in options]).reshape(len(options), -1)
-            for (v, cv, cw), k in zip(options, pick):
-                cands[:, v] = cv[k]
-                cands[:, n - v] = cw[k]
+        free = np.flatnonzero(nz[1:]) + 1
+        digits = np.arange(n_parts**free.size)[:, None] // n_parts ** np.arange(free.size)[::-1] % n_parts
+        cands = np.repeat(base[None, :], len(digits), axis=0)
+        cands[:, free] *= np.exp(2j * np.pi * digits / n_parts)
         Q = np.fft.fft(cands, axis=1) / n
-        ok = (np.abs(Q.imag).max(axis=1) <= 1e-10) & (Q.real.min(axis=1) >= -1e-10)
-        for row in np.flatnonzero(ok):
-            qq = np.clip(Q[row].real, 0.0, None)
+        for q in Q[(np.abs(Q.imag).max(axis=1) <= 1e-10) & (Q.real.min(axis=1) >= -1e-10)]:
+            qq = np.clip(q.real, 0.0, None)
             root = Distribution(qq / qq.sum())
-            shifted = convolve(lut, power(lut, root, n_parts), Distribution.point_mass(n, a))
-            if tv_distance(shifted, p) <= 1e-8:
-                return root
+            if tv_distance(convolve(lut, power(lut, root, n_parts), Distribution.point_mass(n, a)), p) <= 1e-8:
+                return root.p.tobytes()
     return None
 
 
@@ -300,8 +270,8 @@ def test_criterion_6_id_oracle_agreement():
     1977), so a rejected law with roots at every order would be a false
     negative of decompose_id.  Roots at a few small orders are not enough:
     sample law 24 has roots of every order 2..16 and none of order 17, which
-    is pinned here.  The exact search _shifted_root must agree with
-    nth_root_oracle on root existence at orders 2, 3 and 4 on every law.
+    is pinned here.  nth_root_oracle must return the same root bytes as
+    its dense definition at orders 2, 3 and 4 on every law.
     """
     rng = np.random.default_rng(SEED + 6)
     forward_bad = []
@@ -312,17 +282,14 @@ def test_criterion_6_id_oracle_agreement():
         n = 2 + (i % 5)
         p = _random_law(rng, n)
         idm = is_infinitely_divisible(p)
-        w2 = nth_root_oracle(p, 2)
-        w3 = nth_root_oracle(p, 3)
-        if idm and (w2 is None or w3 is None):
+        roots = {k: nth_root_oracle(p, k) for k in (2, 3, 4)}
+        if idm and (roots[2] is None or roots[3] is None):
             forward_bad.append((n, p.p))
-        oracle = {2: w2 is not None, 3: w3 is not None, 4: nth_root_oracle(p, 4) is not None}
-        found = {k: _shifted_root(p, k) is not None for k in oracle}
-        disagree += [(i, k) for k in oracle if found[k] != oracle[k]]
+        disagree += [(i, k) for k, w in roots.items() if (w and w.p.tobytes()) != _dense_root_bytes(p, k)]
         if not idm:
             k = next(
                 (k for k in range(2, _ROOT_ORDER_BOUND + 1)
-                 if not (found[k] if k in found else _shifted_root(p, k) is not None)),
+                 if (roots[k] if k in roots else nth_root_oracle(p, k)) is None),
                 None,
             )
             if k is None:
@@ -341,7 +308,7 @@ def test_criterion_6_id_oracle_agreement():
         f"{len(forward_bad)} forward failures",
     )
     _report(
-        "criterion 6: exact root search agrees with nth_root_oracle, n in 2..4",
+        "criterion 6: nth_root_oracle matches its dense definition, n in 2..4",
         not disagree,
         f"{len(disagree)} disagreements" + (f"; first (law, n): {disagree[0]}" if disagree else ""),
     )

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import pseudosum
 import pseudosum.lut as lut_module
 from pseudosum import make_mod_lut
 from pseudosum import cli
@@ -26,6 +27,20 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def test_public_names_are_pinned():
+    # a change to this list is a change to the package's interface
+    assert pseudosum.__all__ == """
+        Alphabet Cdf CONVERGED CYCLE Distribution IdDecomposition LimitResult LutTable
+        MAX_ITERATIONS Permutation SimConfig Spectrum StableLaw ValidityError apply
+        check_associative check_commutative classify_stable construct_id convolve decompose_id
+        degenerate_doa_necessary doa_attractor empirical_fold enumerate_stable find_idempotents
+        find_identity from_spectrum in_doa is_associative is_infinitely_divisible is_stable
+        limit make_cyclic_lut make_max_lut make_mod_lut max_convolve max_doa max_nth_root
+        max_stable_set multiply_spectra nth_root_oracle power relabel sample_index spectrum
+        stable_distribution tv_distance verify_left_subtraction
+    """.split()
 
 
 def test_check_mod6(tmp_path, capsys):
@@ -243,6 +258,8 @@ def test_resource_and_internal_errors_exit_1_with_one_line(monkeypatch, capsys, 
 
 NAN_LAW = {"n": 2, "p": [float("nan"), 1.0]}
 HALF = {"n": 2, "p": [0.5, 0.5]}
+S3 = {"n": 3, "s": [2, 0, 1]}
+SIZES = "permutation size 3 does not match n=2"
 
 
 @pytest.mark.parametrize(
@@ -281,6 +298,12 @@ HALF = {"n": 2, "p": [0.5, 0.5]}
         ({"d": HALF}, ["limit", "--gen", "mod2", "--dist", "{d}", "--tol", "nan"], "tol must be finite and > 0"),
         ({"d": HALF}, ["limit", "--gen", "mod2", "--dist", "{d}", "--tol", "inf"], "tol must be finite and > 0"),
         ({"d": HALF}, ["limit", "--gen", "mod2", "--dist", "{d}", "--tol", "-1"], "tol must be finite and > 0"),
+        # a permutation of the wrong size, reported by the library in each command
+        ({"s": S3}, ["stable", "--enumerate", "2", "--perm", "{s}"], SIZES),
+        ({"d": HALF, "s": S3}, ["doa", "--dist", "{d}", "--perm", "{s}"], SIZES),
+        ({"d": HALF, "s": S3}, ["doa", "--dist", "{d}", "--target", "2", "--perm", "{s}"], SIZES),
+        ({"d": HALF, "s": S3}, ["id", "--dist", "{d}", "--perm", "{s}"], SIZES),
+        ({"d": HALF, "s": S3}, ["spectrum", "--dist", "{d}", "--perm", "{s}"], SIZES),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,8 @@ def test_permutation_validation():
         Permutation([0, 0, 1])
     with pytest.raises(ValidityError):
         Permutation([0, 2])
+    with pytest.raises(ValidityError, match="permutation entries must be integers"):
+        Permutation([1.9, 0.2])  # used to be truncated to [1, 0]
     assert Permutation.from_json({"n": 3, "s": [2, 0, 1.0]}).s.tolist() == [2, 0, 1]
     for doc in (
         {"n": "x", "s": [0, 1]},
@@ -475,10 +478,19 @@ def test_nth_root_oracle_examples():
     r = nth_root_oracle(Distribution([0.625, 0.375]), 2)
     assert np.allclose(r.p, [0.75, 0.25], atol=1e-12)
     assert nth_root_oracle(Distribution([0, 0.5, 0.5]), 2) is None
-    with pytest.raises(ValidityError):
-        nth_root_oracle(Distribution.uniform(9), 2)
-    with pytest.raises(ValidityError):
-        nth_root_oracle(Distribution.uniform(4), 5)
+    # n_parts^(N // 2) N^2 <= 2^20 passes; past it, nothing is allocated
+    assert nth_root_oracle(Distribution.uniform(9), 2).p.tobytes() == Distribution.uniform(9).p.tobytes()
+    assert nth_root_oracle(Distribution.uniform(4), 5) is not None
+    assert nth_root_oracle(Distribution.point_mass(1, 0), 10**18).p.tolist() == [1.0]
+    laws = [(Distribution.uniform(n), parts) for n, parts in ((64, 2), (2048, 1), (4, 10**18))]
+    tracemalloc.start()
+    try:
+        for p, parts in laws:
+            with pytest.raises(ValidityError, match="root search too large"):
+                nth_root_oracle(p, parts)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_id_forward_direction_vs_oracle():

@@ -70,13 +70,10 @@ def test_alphabet_rejects_non_finite_values():
 
 
 def test_lut_rejects_bad_shapes_and_entries():
-    a = Alphabet.canonical(2)
-    with pytest.raises(ValidityError):
-        LutTable(a, [[0, 1]])
-    with pytest.raises(ValidityError):
-        LutTable(a, [[0, 1], [1, 2]])
-    with pytest.raises(ValidityError):
-        LutTable(a, [[0, -1], [1, 0]])
+    # 1.7 used to be truncated to 1, and NaN to raise a raw ValueError
+    for table in ([[0, 1]], [[0, 1], [1, 2]], [[0, -1], [1, 0]], [[0, 1.7], [1, 0]], [[0, np.nan], [1, 0]]):
+        with pytest.raises(ValidityError):
+            LutTable(Alphabet.canonical(2), table)
 
 
 def test_apply_examples():
