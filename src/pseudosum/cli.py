@@ -105,16 +105,12 @@ def _cyclic_lut_from_file(path: str) -> LutTable:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(_fmt(doc), indent=2)
+    text = json.dumps(_fmt({"version": SCHEMA_VERSION, **doc}), indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _dist_doc(p: Distribution) -> dict:
-    return {"version": SCHEMA_VERSION, "n": p.n, "p": p.p.tolist()}
 
 
 def _add_table_args(sub) -> None:
@@ -202,7 +198,7 @@ def _cmd_check(args) -> dict:
     lut = _load_lut(args)
     assoc = check_associative(lut)
     comm = check_commutative(lut)
-    doc: dict = {"version": SCHEMA_VERSION, "n": lut.n, "associative": assoc is None}
+    doc: dict = {"n": lut.n, "associative": assoc is None}
     if assoc is not None:
         doc["counterexample"] = list(assoc)
     doc["commutative"] = comm is None
@@ -216,18 +212,18 @@ def _cmd_check(args) -> dict:
 def _cmd_convolve(args) -> dict:
     lut = _load_lut(args)
     p, q = (_load_dist(path) for path in args.dists)
-    return _dist_doc(convolve(lut, p, q))
+    return convolve(lut, p, q).to_json()
 
 
 def _cmd_power(args) -> dict:
     lut = _load_lut(args)
-    return _dist_doc(power(lut, _load_dist(args.dist), args.m))
+    return power(lut, _load_dist(args.dist), args.m).to_json()
 
 
 def _cmd_limit(args) -> dict:
     lut = _load_lut(args)
     res = limit(lut, _load_dist(args.dist), tol=args.tol, max_doublings=args.max_doublings)
-    doc = {"version": SCHEMA_VERSION, "status": res.status, "doublings": res.doublings}
+    doc = {"status": res.status, "doublings": res.doublings}
     if res.status == CONVERGED:
         doc["limit"] = res.dist.p.tolist()
     if res.status == CYCLE:
@@ -242,7 +238,7 @@ def _cmd_stable(args) -> dict:
         {"m": law.m, "r": law.r, "p": dist.p.tolist()}
         for law, dist in enumerate_stable(n, perm)
     ]
-    return {"version": SCHEMA_VERSION, "n": n, "laws": laws}
+    return {"n": n, "laws": laws}
 
 
 def _cmd_doa(args) -> dict:
@@ -252,15 +248,9 @@ def _cmd_doa(args) -> dict:
         if args.target < 1 or p.n % args.target != 0:
             raise ValidityError(f"target {args.target} must be a divisor of n={p.n}")
         law = StableLaw(args.target, p.n // args.target)
-        return {
-            "version": SCHEMA_VERSION,
-            "target": {"m": law.m, "r": law.r},
-            "in_doa": in_doa(p, law, perm),
-        }
+        return {"target": {"m": law.m, "r": law.r}, "in_doa": in_doa(p, law, perm)}
     law = doa_attractor(p, perm)
-    doc: dict = {"version": SCHEMA_VERSION}
-    doc["attractor"] = None if law is None else {"m": law.m, "r": law.r}
-    return doc
+    return {"attractor": None if law is None else {"m": law.m, "r": law.r}}
 
 
 def _cmd_id(args) -> dict:
@@ -268,44 +258,28 @@ def _cmd_id(args) -> dict:
     perm = _load_perm(args.perm)
     if args.decompose:
         d = decompose_id(p, perm, tol=args.tol)
-        doc: dict = {"version": SCHEMA_VERSION}
-        if d is None:
-            doc["decomposition"] = None
-        else:
-            doc["decomposition"] = {
-                "a": d.a,
-                "m": d.m,
-                "lambda": d.lam,
-                "jump": d.jump.p.tolist(),
-            }
-        return doc
-    return {
-        "version": SCHEMA_VERSION,
-        "infinitely_divisible": is_infinitely_divisible(p, perm, tol=args.tol),
-    }
+        dec = None if d is None else {"a": d.a, "m": d.m, "lambda": d.lam, "jump": d.jump.p.tolist()}
+        return {"decomposition": dec}
+    return {"infinitely_divisible": is_infinitely_divisible(p, perm, tol=args.tol)}
 
 
 def _cmd_spectrum(args) -> dict:
     p = _load_dist(args.dist)
     perm = _load_perm(args.perm)
     f = spectrum(p, perm).f
-    return {
-        "version": SCHEMA_VERSION,
-        "n": p.n,
-        "spectrum": [[float(v.real), float(v.imag)] for v in f],
-    }
+    return {"n": p.n, "spectrum": [[float(v.real), float(v.imag)] for v in f]}
 
 
 def _cmd_max(args) -> dict:
     if args.convolve:
         p, q = (_load_dist(path) for path in args.convolve)
-        return _dist_doc(max_convolve(p, q))
+        return max_convolve(p, q).to_json()
     if args.root:
         n_parts = _int_arg(args.root[0], "N")
-        return _dist_doc(max_nth_root(_load_dist(args.root[1]), n_parts))
+        return max_nth_root(_load_dist(args.root[1]), n_parts).to_json()
     x = _int_arg(args.doa[0], "X")
     p = _load_dist(args.doa[1])
-    return {"version": SCHEMA_VERSION, "x": x, "in_doa": max_doa(p, x)}
+    return {"x": x, "in_doa": max_doa(p, x)}
 
 
 def _cmd_simulate(args) -> dict:
@@ -313,7 +287,7 @@ def _cmd_simulate(args) -> dict:
     p = _load_dist(args.dist)
     cfg = SimConfig(seed=args.seed, trials=args.trials, m=args.m)
     emp = empirical_fold(lut, p, cfg, workers=args.workers)
-    doc = {"version": SCHEMA_VERSION, "n": p.n, "empirical": emp.p.tolist()}
+    doc = {"n": p.n, "empirical": emp.p.tolist()}
     if args.compare_exact:
         exact = power(lut, p, args.m)
         doc["exact"] = exact.p.tolist()

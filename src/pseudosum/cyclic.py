@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution, convolve, power, tv_distance
-from .lut import MASS_EPS, Alphabet, LutTable, json_integers, json_size
+from .lut import MASS_EPS, Alphabet, LutTable, as_index, as_int, json_integers, json_size, same_n
 
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
@@ -47,7 +47,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
+        return cls(np.arange(as_int(n, "n", 1)))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Permutation":
@@ -56,8 +56,7 @@ class Permutation:
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"permutation document missing field: {exc}") from exc
         perm = cls(s)
-        if perm.n != n:
-            raise ValidityError(f"permutation length {perm.n} does not match n={n}")
+        same_n("permutation length", n, perm.n)
         return perm
 
     def to_json(self) -> dict:
@@ -106,8 +105,8 @@ class StableLaw:
     r: int
 
     def __post_init__(self):
-        if self.m < 1 or self.r < 1:
-            raise ValidityError("stable law requires m >= 1 and r >= 1")
+        object.__setattr__(self, "m", as_int(self.m, "m", 1))
+        object.__setattr__(self, "r", as_int(self.r, "r", 1))
 
     @property
     def n(self) -> int:
@@ -129,17 +128,16 @@ class IdDecomposition:
         n = self.jump.n
         if self.lam < 0:
             raise ValidityError("intensity must be nonnegative")
-        if self.m < 1 or n % self.m != 0:
+        object.__setattr__(self, "m", as_int(self.m, "m", 1))
+        if n % self.m != 0:
             raise ValidityError(f"m={self.m} must divide n={n}")
-        if not 0 <= self.a < n:
-            raise ValidityError(f"shift {self.a} out of range for n={n}")
+        object.__setattr__(self, "a", as_index(self.a, n, "a"))
 
 
 def _ident(s: Permutation | None, n: int) -> Permutation:
     if s is None:
         return Permutation.identity(n)
-    if s.n != n:
-        raise ValidityError(f"permutation size {s.n} does not match n={n}")
+    same_n("permutation size", n, s.n)
     return s
 
 
@@ -149,8 +147,7 @@ def _divisors(n: int) -> list[int]:
 
 def make_cyclic_lut(n: int, s: Permutation | None = None) -> LutTable:
     """The table x (+) y = s_inv[(s[x] + s[y]) % n] on the canonical alphabet."""
-    if n < 1:
-        raise ValidityError("n must be >= 1")
+    n = as_int(n, "n", 1)
     s = _ident(s, n)
     grid = (s.s[:, None] + s.s[None, :]) % n
     return LutTable(Alphabet.canonical(n), s.inv[grid])
@@ -161,11 +158,9 @@ def make_mod_lut(n: int) -> LutTable:
     return make_cyclic_lut(n)
 
 
-def relabel(p: Distribution, s: Permutation) -> Distribution:
+def relabel(p: Distribution, s: Permutation | None = None) -> Distribution:
     """The law of s(X): mass at index k moves to index s[k]."""
-    if s.n != p.n:
-        raise ValidityError(f"permutation size {s.n} does not match n={p.n}")
-    return Distribution(_relabeled_raw(p, s))
+    return Distribution(_relabeled_raw(p, _ident(s, p.n)))
 
 
 def _relabeled_raw(p: Distribution, s: Permutation) -> np.ndarray:
@@ -206,8 +201,7 @@ def from_spectrum(F: Spectrum, s: Permutation | None = None, tol: float = 1e-9) 
 
 def multiply_spectra(F: Spectrum, G: Spectrum) -> Spectrum:
     """Pointwise product; the spectrum of the convolution of the two laws."""
-    if F.n != G.n:
-        raise ValidityError(f"dimension mismatch: {F.n} != {G.n}")
+    same_n("spectrum size", F.n, G.n)
     return Spectrum(F.f * G.f)
 
 
@@ -227,8 +221,7 @@ def enumerate_stable(
     """All stable laws for the cyclic table on n points: one per divisor m of
     n, ordered from the point mass (m = n) down to the full uniform (m = 1).
     The list is exhaustive."""
-    if n < 1:
-        raise ValidityError("n must be >= 1")
+    n = as_int(n, "n", 1)
     s = _ident(s, n)
     out = []
     for m in reversed(_divisors(n)):
@@ -251,8 +244,7 @@ def classify_stable(
 def in_doa(p: Distribution, target: StableLaw, s: Permutation | None = None) -> bool:
     """Whether p is attracted to the given stable law (its fold powers
     converge to it in distribution)."""
-    if target.n != p.n:
-        raise ValidityError(f"target law is for n={target.n}, distribution has n={p.n}")
+    same_n("target law size", p.n, target.n)
     return doa_attractor(p, s) == target
 
 
@@ -425,9 +417,7 @@ def nth_root_oracle(
     (real roots at v = N/2): at most n_parts^(N // 2) candidates per shift.
     Raises ValidityError when n_parts^(N // 2) N^2, which bounds the
     candidates and the N^2 verifying table, exceeds 2^20."""
-    n = p.n
-    if n_parts < 1:
-        raise ValidityError("n_parts must be >= 1")
+    n, n_parts = p.n, as_int(n_parts, "n_parts", 1)
     if (n // 2) * math.log2(n_parts) + 2 * math.log2(n) > math.log2(_ROOT_CELLS):
         raise ValidityError(f"root search too large: {n_parts}^{n // 2} * {n}^2 > {_ROOT_CELLS}")
     s = _ident(s, n)

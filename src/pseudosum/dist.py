@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityError
-from .lut import LutTable, find_identity, is_associative, is_commutative, json_numbers, json_size
+from .lut import (
+    LutTable, as_index, as_int, find_identity, index_set, is_associative, is_commutative, json_numbers,
+    json_size, same_n,
+)
 
 SUM_TOL = 1e-9          # construction: |sum(p) - 1| beyond this is rejected
 FIXED_POINT_TOL = 1e-12
@@ -53,22 +56,20 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, n: int, k: int) -> "Distribution":
-        if not 0 <= k < n:
-            raise ValidityError(f"point mass index {k} out of range for n={n}")
+        n = as_int(n, "n", 1)
         p = np.zeros(n)
-        p[k] = 1.0
+        p[as_index(k, n, "k")] = 1.0
         return cls(p)
 
     @classmethod
     def uniform(cls, n: int, support=None) -> "Distribution":
         """Uniform on the given index set (default: all of 0..n-1)."""
+        n = as_int(n, "n", 1)
         if support is None:
             return cls(np.full(n, 1.0 / n))
-        idx = sorted(set(int(k) for k in support))
-        if not idx or idx[0] < 0 or idx[-1] >= n:
-            raise ValidityError("support must be a non-empty subset of [0, n)")
+        idx = index_set(support, n, "support")
         p = np.zeros(n)
-        p[idx] = 1.0 / len(idx)
+        p[idx] = 1.0 / idx.size
         return cls(p)
 
     @classmethod
@@ -77,8 +78,8 @@ class Distribution:
             n, p = json_size(doc["n"]), json_numbers(doc["p"], "p")
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"distribution document missing field: {exc}") from exc
-        if p.ndim == 1 and p.size != n:
-            raise ValidityError(f"probability vector length {p.size} does not match n={n}")
+        if p.ndim == 1:
+            same_n("probability vector length", n, p.size)
         return cls(p)
 
     def to_json(self) -> dict:
@@ -100,13 +101,6 @@ class LimitResult:
     period: int | None = None
 
 
-def _check_same_n(*sizes) -> int:
-    n = sizes[0]
-    if any(m != n for m in sizes[1:]):
-        raise ValidityError(f"dimension mismatch: sizes {sizes}")
-    return n
-
-
 def _convolve_raw(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Push the weight matrix through the table: r[k] sums weights[i, j] over
     the cells with table[i, j] == k, adding in row-major order."""
@@ -123,7 +117,7 @@ def convolve(lut: LutTable, p: Distribution, q: Distribution) -> Distribution:
     For commutative tables the weight matrix is symmetrized so that
     convolve(p, q) and convolve(q, p) are bitwise identical.
     """
-    _check_same_n(lut.n, p.n, q.n)
+    same_n("distribution size", lut.n, p.n, q.n)
     weights = np.outer(p.p, q.p)
     if is_commutative(lut):
         weights = (weights + weights.T) / 2.0
@@ -132,7 +126,7 @@ def convolve(lut: LutTable, p: Distribution, q: Distribution) -> Distribution:
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance, half the l1 distance; in [0, 1]."""
-    _check_same_n(p.n, q.n)
+    same_n("distribution size", p.n, q.n)
     return _tv_raw(p.p, q.p)
 
 
@@ -142,9 +136,8 @@ def power(lut: LutTable, p: Distribution, m: int) -> Distribution:
     Requires an associative table (doubling reassociates the fold).  m = 0 is
     allowed only when the table has an identity, giving its point mass.
     """
-    _check_same_n(lut.n, p.n)
-    if m < 0:
-        raise ValidityError("fold length m must be >= 0")
+    same_n("distribution size", lut.n, p.n)
+    m = as_int(m, "m", 0)
     if not is_associative(lut):
         raise ValidityError("table is not associative; powers are ill-defined")
     if m == 0:
@@ -167,7 +160,7 @@ def power(lut: LutTable, p: Distribution, m: int) -> Distribution:
 def is_stable(lut: LutTable, p: Distribution, tol: float = FIXED_POINT_TOL) -> bool:
     """True when p is a fixed point of self-convolution, i.e. the law of
     X1 (+) X2 equals p within total variation tol."""
-    _check_same_n(lut.n, p.n)
+    same_n("distribution size", lut.n, p.n)
     return _tv_raw(_convolve_raw(lut.table, np.outer(p.p, p.p)), p.p) <= tol
 
 
@@ -187,11 +180,10 @@ def limit(
     within total variation tol of the new one, is also a CYCLE.  The converged
     payload is guaranteed stable at tolerance 2*tol.
     """
-    _check_same_n(lut.n, p.n)
+    same_n("distribution size", lut.n, p.n)
     if not 0 < tol < np.inf:  # NaN fails both
         raise ValidityError(f"tol must be finite and > 0, got {tol!r}")
-    if max_doublings < 1:
-        raise ValidityError("max_doublings must be >= 1")
+    max_doublings = as_int(max_doublings, "max_doublings", 1)
     if not is_associative(lut):
         raise ValidityError("table is not associative; limits are ill-defined")
     table = lut.table

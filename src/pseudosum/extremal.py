@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution
-from .lut import MASS_EPS, Alphabet, LutTable
+from .lut import MASS_EPS, Alphabet, LutTable, as_index, as_int, same_n
 
 
 class Cdf:
@@ -48,8 +48,7 @@ class Cdf:
 
 def make_max_lut(n: int) -> LutTable:
     """The table x (+) y = max(x, y) on the canonical alphabet."""
-    if n < 1:
-        raise ValidityError("n must be >= 1")
+    n = as_int(n, "n", 1)
     idx = np.arange(n)
     return LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
 
@@ -57,8 +56,7 @@ def make_max_lut(n: int) -> LutTable:
 def max_convolve(p: Distribution, q: Distribution) -> Distribution:
     """Law of max(X, Y) for independent X ~ p, Y ~ q: the CDF is the product
     of the CDFs."""
-    if p.n != q.n:
-        raise ValidityError(f"dimension mismatch: {p.n} != {q.n}")
+    same_n("distribution size", p.n, q.n)
     Fp = np.cumsum(p.p)
     Fq = np.cumsum(q.p)
     prod = Fp * Fq
@@ -68,16 +66,14 @@ def max_convolve(p: Distribution, q: Distribution) -> Distribution:
 
 def max_stable_set(n: int) -> list[Distribution]:
     """All laws fixed by max-self-convolution: exactly the n point masses."""
-    if n < 1:
-        raise ValidityError("n must be >= 1")
+    n = as_int(n, "n", 1)
     return [Distribution.point_mass(n, k) for k in range(n)]
 
 
 def max_doa(p: Distribution, x: int) -> bool:
     """Whether p is attracted to the point mass at x under max folding:
     no mass above x and positive mass at x."""
-    if not 0 <= x < p.n:
-        raise ValidityError(f"index {x} out of range for n={p.n}")
+    x = as_index(x, p.n, "x")
     return bool(p.p[x + 1 :].sum() <= MASS_EPS and p.p[x] > 0.0)
 
 
@@ -87,8 +83,7 @@ def max_nth_root(p: Distribution, n_parts: int) -> Distribution:
     Always exists (every law is infinitely divisible under max); zero CDF
     entries stay zero.
     """
-    if n_parts < 1:
-        raise ValidityError("n_parts must be >= 1")
+    n_parts = as_int(n_parts, "n_parts", 1)
     F = np.cumsum(p.p)
     F[-1] = 1.0
     root = F ** (1.0 / n_parts)

@@ -4,11 +4,14 @@ A lookup table stores the binary operation x_i (+) x_j as an N x N matrix of
 alphabet indices.  Everything downstream (convolution powers, stable-law
 classification) only needs the index matrix; the alphabet is a relabeling
 layer kept alongside for presentation.  The ``json_*`` helpers here check
-the numbers of every JSON document the package reads.
+the numbers of every JSON document the package reads; `as_int`, `as_index`,
+`index_set` and `same_n` check every count, index, index set and pair of
+sizes passed to a public function of the package.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +52,50 @@ def json_size(value) -> int:
     return int(arr)
 
 
+def as_int(value, name: str, low: int | None = None) -> int:
+    """value, a Python or numpy integer, as a Python int, checked to be at
+    least low when low is given.  A bool, float (even 2.0) or string is a
+    caller's mistake and raises ValidityError; a JSON document, which may
+    write an integer as 2.0, goes through json_integers instead."""
+    try:
+        if isinstance(value, (bool, np.bool_)):  # operator.index takes bool as an int
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValidityError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValidityError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def as_index(value, n: int, name: str) -> int:
+    """as_int(value), checked to lie in [0, n)."""
+    k = as_int(value, name)
+    if not 0 <= k < n:
+        raise ValidityError(f"{name} must lie in [0, {n}), got {k}")
+    return k
+
+
+def index_set(values, n: int, name: str) -> np.ndarray:
+    """The distinct indices among values, ascending, as intp: each passes
+    as_index, and there is at least one."""
+    try:
+        idx = sorted({as_index(v, n, f"{name} entry") for v in values})
+    except TypeError:  # values is not iterable
+        raise ValidityError(f"{name} must be a collection of indices, got {values!r}") from None
+    if not idx:
+        raise ValidityError(f"{name} must not be empty")
+    return np.array(idx, dtype=np.intp)
+
+
+def same_n(what: str, n: int, *sizes: int) -> None:
+    """Check that each of sizes equals n; a mismatch m raises
+    ValidityError('{what} {m} does not match n={n}')."""
+    for m in sizes:
+        if m != n:
+            raise ValidityError(f"{what} {m} does not match n={n}")
+
+
 class Alphabet:
     """Ordered list of N pairwise-distinct finite real values, indexed 0..N-1."""
 
@@ -73,7 +120,7 @@ class Alphabet:
     @classmethod
     def canonical(cls, n: int) -> "Alphabet":
         """The alphabet 0, 1, ..., n-1."""
-        return cls(np.arange(n, dtype=float))
+        return cls(np.arange(as_int(n, "n", 1), dtype=float))
 
     def __repr__(self):
         return f"Alphabet({self.values.tolist()})"
@@ -112,8 +159,8 @@ class LutTable:
             table = doc["table"]
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"lut document missing field: {exc}") from exc
-        if alphabet.ndim == 1 and alphabet.size != n:
-            raise ValidityError(f"alphabet length {alphabet.size} does not match n={n}")
+        if alphabet.ndim == 1:
+            same_n("alphabet length", n, alphabet.size)
         return cls(Alphabet(alphabet), table)
 
     def to_json(self) -> dict:
@@ -129,10 +176,7 @@ class LutTable:
 
 def apply(lut: LutTable, i: int, j: int) -> int:
     """The operation table entry for (i, j): index of x_i (+) x_j."""
-    n = lut.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValidityError(f"indices ({i}, {j}) out of range for n={n}")
-    return int(lut.table[i, j])
+    return int(lut.table[as_index(i, lut.n, "i"), as_index(j, lut.n, "j")])
 
 
 Structure = NamedTuple("Structure", [("kind", str), ("order", "np.ndarray | None"), ("commutative", bool)])
@@ -249,17 +293,9 @@ def find_idempotents(lut: LutTable) -> list[int]:
 def verify_left_subtraction(lut: LutTable, subset) -> bool:
     """True when, for every a, b in the subset, x (+) a = b has exactly one
     solution x inside the subset."""
-    J = sorted(set(int(x) for x in subset))
-    if not J:
-        raise ValidityError("subset must be non-empty")
-    if J[0] < 0 or J[-1] >= lut.n:
-        raise ValidityError("subset contains out-of-range indices")
-    J_arr = np.asarray(J, dtype=np.intp)
+    J = index_set(subset, lut.n, "subset")
     # x |-> x (+) a must permute J for each a in J
-    for a in J:
-        if not np.array_equal(np.sort(lut.table[J_arr, a]), J_arr):
-            return False
-    return True
+    return all(np.array_equal(np.sort(lut.table[J, a]), J) for a in J)
 
 
 def degenerate_doa_necessary(lut: LutTable, x: int, p, tol: float = MASS_EPS) -> bool:
@@ -268,9 +304,9 @@ def degenerate_doa_necessary(lut: LutTable, x: int, p, tol: float = MASS_EPS) ->
 
     Requires x (+) x = x; a False return certifies p is not attracted.
     """
-    if apply(lut, x, x) != x:
+    x = as_index(x, lut.n, "x")
+    if lut.table[x, x] != x:
         raise ValidityError(f"index {x} is not idempotent (x (+) x != x)")
-    if p.n != lut.n:
-        raise ValidityError(f"distribution size {p.n} does not match table size {lut.n}")
+    same_n("distribution size", lut.n, p.n)
     mass = p.p[lut.table[x] == x].sum()
     return bool(mass >= 1.0 - tol)

@@ -26,14 +26,13 @@ largest of its m outputs.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution
-from .lut import MAX, LutTable, structure
+from .lut import MAX, LutTable, as_int, same_n, structure
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -52,20 +51,9 @@ class SimConfig:
     m: int
 
     def __post_init__(self):
-        # operator.index takes Python and numpy integers alike; bool is an int
-        # to it, and a float or bool here is a caller's mistake
-        for name in ("seed", "trials", "m"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValidityError(f"{name} must be an integer, got {value!r}")
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidityError(f"{name} must be an integer, got {value!r}") from None
-        if self.trials < 1:
-            raise ValidityError("trials must be >= 1")
-        if self.m < 1:
-            raise ValidityError("fold length m must be >= 1")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "trials", as_int(self.trials, "trials", 1))
+        object.__setattr__(self, "m", as_int(self.m, "m", 1))
 
 
 def _splitmix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -211,10 +199,8 @@ def empirical_fold(
     must be >= 1; it is kept for compatibility and changes neither the
     result nor the work.
     """
-    if lut.n != p.n:
-        raise ValidityError(f"dimension mismatch: {lut.n} != {p.n}")
-    if workers < 1:
-        raise ValidityError("workers must be >= 1")
+    same_n("distribution size", lut.n, p.n)
+    as_int(workers, "workers", 1)
     n, m = lut.n, cfg.m
     st = structure(lut)
     fold_max = st.kind == MAX  # a max table folds ranks: rank r has the mass of st.order[r]

@@ -528,6 +528,7 @@ def test_permutation_invariance():
         s = Permutation(rng.permutation(n))
         p = random_law(rng, n)
         moved = relabel(p, s)
+        assert relabel(p).p.tobytes() == p.p.tobytes()  # s=None is the identity
 
         c1 = classify_stable(p, s)
         c2 = classify_stable(moved)

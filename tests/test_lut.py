@@ -1,9 +1,11 @@
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import pseudosum as ps
 import pseudosum.lut as lut_module
 from pseudosum import (
     Alphabet,
@@ -460,3 +462,56 @@ def test_json_round_trip_and_rejections():
     ):
         with pytest.raises(ValidityError):
             LutTable.from_json(doc)
+
+
+P4, P6 = Distribution([0.1, 0.2, 0.3, 0.4]), Distribution(np.arange(1, 7) / 21)
+CFG = ps.SimConfig(seed=3, trials=500, m=3)
+
+# (entry point, a valid integer argument, an out-of-range one); each call
+# puts its integer argument v where a count, an index, an index-set entry or
+# a size that must agree with another goes
+INTEGER_ARGUMENTS = {
+    "make_max_lut": (lambda v: make_max_lut(v), 3, 0),
+    "make_cyclic_lut": (lambda v: make_cyclic_lut(v), 3, 0),
+    "Alphabet.canonical": (lambda v: Alphabet.canonical(v), 3, 0),
+    "Permutation.identity": (lambda v: Permutation.identity(v), 3, 0),
+    "Distribution.point_mass n": (lambda v: Distribution.point_mass(v, 1), 3, 0),
+    "Distribution.point_mass k": (lambda v: Distribution.point_mass(4, v), 2, 4),
+    "Distribution.uniform n": (lambda v: Distribution.uniform(v), 3, 0),
+    "Distribution.uniform support": (lambda v: Distribution.uniform(6, [0, v, 4]), 2, 6),
+    "power": (lambda v: power(make_mod_lut(4), P4, v), 5, -1),
+    "limit": (lambda v: ps.limit(make_max_lut(4), P4, max_doublings=v), 3, 0),
+    "max_nth_root": (lambda v: ps.max_nth_root(P4, v), 3, 0),
+    "nth_root_oracle": (lambda v: ps.nth_root_oracle(P4, v), 2, 0),
+    "max_stable_set": (lambda v: ps.max_stable_set(v), 3, 0),
+    "enumerate_stable": (lambda v: ps.enumerate_stable(v), 6, 0),
+    "max_doa": (lambda v: ps.max_doa(Distribution([0.5, 0.5, 0.0, 0.0]), v), 1, 4),
+    "apply i": (lambda v: apply(make_mod_lut(4), v, 3), 2, 4),
+    "apply j": (lambda v: apply(make_mod_lut(4), 3, v), 2, -1),
+    "degenerate_doa_necessary": (lambda v: degenerate_doa_necessary(make_max_lut(4), v, P4), 3, 4),
+    "verify_left_subtraction": (lambda v: verify_left_subtraction(make_mod_lut(6), [0, v, 4]), 2, 6),
+    "StableLaw m": (lambda v: ps.StableLaw(v, 3), 2, 0),
+    "StableLaw r": (lambda v: ps.StableLaw(2, v), 3, 0),
+    "IdDecomposition a": (lambda v: ps.IdDecomposition(a=v, m=3, lam=0.5, jump=P6), 2, 6),
+    "IdDecomposition m": (lambda v: ps.IdDecomposition(a=1, m=v, lam=0.5, jump=P6), 3, 0),
+    "SimConfig seed": (lambda v: ps.SimConfig(seed=v, trials=10, m=2), 3, None),
+    "SimConfig trials": (lambda v: ps.SimConfig(seed=1, trials=v, m=2), 3, 0),
+    "SimConfig m": (lambda v: ps.SimConfig(seed=1, trials=10, m=v), 3, 0),
+    "empirical_fold workers": (lambda v: ps.empirical_fold(make_mod_lut(4), P4, CFG, workers=v), 2, 0),
+    "empirical_fold sizes": (lambda v: ps.empirical_fold(make_mod_lut(v), P4, CFG), 4, 3),
+    "max_convolve": (lambda v: ps.max_convolve(P4, Distribution.uniform(v)), 4, 3),
+    "multiply_spectra": (lambda v: ps.multiply_spectra(ps.spectrum(P4), ps.spectrum(Distribution.uniform(v))), 4, 3),
+    "in_doa": (lambda v: ps.in_doa(P6, ps.StableLaw(2, v)), 3, 2),
+    "relabel": (lambda v: ps.relabel(P4, Permutation.identity(v)), 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_any_integer_and_nothing_else(name):
+    call, good, out_of_range = INTEGER_ARGUMENTS[name]
+    # the pickle holds the types too: a numpy integer must not leak into a result
+    got = {pickle.dumps(call(v)) for v in (good, np.int64(good), np.uint64(good))}
+    assert len(got) == 1
+    for bad in (2.5, np.float64(2.0), True, np.True_, "2") + ((out_of_range,) if out_of_range is not None else ()):
+        with pytest.raises(ValidityError):
+            call(bad)
