@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityError
-from .dist import Distribution, convolve, power, tv_distance
-from .lut import MASS_EPS, Alphabet, LutTable, as_index, as_int, json_integers, json_size, same_n
+from .dist import SUM_TOL, Distribution, convolve, power, tv_distance
+from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, as_real, json_size, same_n
 
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
@@ -29,9 +29,7 @@ class Permutation:
     """A bijection s of 0..n-1 together with its inverse."""
 
     def __init__(self, s):
-        arr = json_integers(s, "permutation")  # a copy: the caller's array stays writable
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidityError("permutation must be a non-empty 1-d sequence")
+        arr = as_array(s, "permutation", np.intp)  # a copy: the caller's array stays writable
         if not np.array_equal(np.sort(arr), np.arange(arr.size)):
             raise ValidityError("permutation must be a bijection on [0, n)")
         inv = np.empty_like(arr)
@@ -70,19 +68,17 @@ class Spectrum:
     """Characteristic values f(0..n-1) of a law on the relabeled cycle.
 
     Valid spectra have f(0) = 1, modulus at most 1, and the conjugate
-    symmetry f(t) = conj(f(n-t)) of real probability vectors.
+    symmetry f(t) = conj(f(n-t)) of real probability vectors, within SUM_TOL.
     """
 
-    def __init__(self, f, tol: float = 1e-9):
-        arr = np.array(f, dtype=complex)  # a copy: the caller's array stays writable
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidityError("spectrum must be a non-empty 1-d sequence")
-        if abs(arr[0] - 1.0) > tol:
+    def __init__(self, f):
+        arr = as_array(f, "spectrum", complex)  # a copy: the caller's array stays writable
+        if abs(arr[0] - 1.0) > SUM_TOL:
             raise ValidityError(f"spectrum must have f(0) = 1, got {arr[0]!r}")
         if (np.abs(arr) > 1.0 + 1e-12).any():
             raise ValidityError("spectrum values must have modulus at most 1")
         mirrored = np.conj(np.concatenate([arr[:1], arr[:0:-1]]))
-        if np.abs(arr - mirrored).max() > tol:
+        if np.abs(arr - mirrored).max() > SUM_TOL:
             raise ValidityError("spectrum lacks the conjugate symmetry of a real law")
         arr.setflags(write=False)
         self.f = arr
@@ -126,8 +122,7 @@ class IdDecomposition:
 
     def __post_init__(self):
         n = self.jump.n
-        if self.lam < 0:
-            raise ValidityError("intensity must be nonnegative")
+        object.__setattr__(self, "lam", as_real(self.lam, "lam"))
         object.__setattr__(self, "m", as_int(self.m, "m", 1))
         if n % self.m != 0:
             raise ValidityError(f"m={self.m} must divide n={n}")
@@ -187,7 +182,7 @@ def from_spectrum(F: Spectrum, s: Permutation | None = None, tol: float = 1e-9) 
     negative masses beyond tol.  Tiny negatives are clamped and the vector
     renormalized.
     """
-    s = _ident(s, F.n)
+    s, tol = _ident(s, F.n), as_real(tol, "tol")
     q = np.fft.fft(F.f) / F.n
     if np.abs(q.imag).max() > tol:
         raise ValidityError("spectrum does not invert to a real vector")
@@ -230,13 +225,11 @@ def enumerate_stable(
     return out
 
 
-def classify_stable(
-    p: Distribution, s: Permutation | None = None, tol: float = 1e-9
-) -> StableLaw | None:
-    """The stable law matching p within total variation tol, or None."""
+def classify_stable(p: Distribution, s: Permutation | None = None) -> StableLaw | None:
+    """The stable law matching p within total variation SUM_TOL, or None."""
     s = _ident(s, p.n)
     for law, q in enumerate_stable(p.n, s):
-        if tv_distance(p, q) <= tol:
+        if tv_distance(p, q) <= SUM_TOL:
             return law
     return None
 
@@ -329,9 +322,7 @@ def decompose_id(
     1..m-1, jump mass at 0 folded out of the intensity, and the shift
     reduced modulo m; it must reproduce p within 1e-7 TV.
     """
-    if not 0 <= tol < np.inf:  # NaN fails both
-        raise ValidityError(f"tol must be finite and >= 0, got {tol!r}")
-    n = p.n
+    tol, n = as_real(tol, "tol"), p.n
     s = _ident(s, n)
     q = _relabeled_raw(p, s)
     f = _spectrum_raw(q)

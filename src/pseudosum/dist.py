@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .lut import (
-    LutTable, as_index, as_int, find_identity, index_set, is_associative, is_commutative, json_numbers,
+    LutTable, as_array, as_index, as_int, as_real, find_identity, index_set, is_associative, is_commutative,
     json_size, same_n,
 )
 
@@ -28,23 +28,19 @@ MAX_ITERATIONS = "max_iterations"
 class Distribution:
     """A probability vector over alphabet indices 0..n-1.
 
-    Entries must be nonnegative and sum to 1 within ``tol``.  The vector is
+    Entries must be nonnegative and sum to 1 within SUM_TOL.  The vector is
     divided by its sum unless that is within N ulps of 1 (N * 2^-52), which
     the sum of a divided vector is: wrapping a law again, or reading back its
     own `to_json`, gives the same bits.
     """
 
-    def __init__(self, p, tol: float = SUM_TOL):
-        arr = np.array(p, dtype=float)  # a copy: the caller's array stays writable
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidityError("probability vector must be a non-empty 1-d sequence")
-        if not np.isfinite(arr).all():
-            raise ValidityError("probabilities must be finite")
+    def __init__(self, p):
+        arr = as_array(p, "p", entries="probabilities")  # a copy: the caller's array stays writable
         if (arr < 0).any():
             raise ValidityError("probabilities must be nonnegative")
         total = arr.sum()
-        if abs(total - 1.0) > tol:
-            raise ValidityError(f"probabilities sum to {total!r}, not 1 within {tol}")
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValidityError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
         if abs(total - 1.0) > arr.size * np.finfo(float).eps:
             arr /= total
         arr.setflags(write=False)
@@ -75,12 +71,12 @@ class Distribution:
     @classmethod
     def from_json(cls, doc: dict) -> "Distribution":
         try:
-            n, p = json_size(doc["n"]), json_numbers(doc["p"], "p")
+            n, p = json_size(doc["n"]), doc["p"]
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"distribution document missing field: {exc}") from exc
-        if p.ndim == 1:
-            same_n("probability vector length", n, p.size)
-        return cls(p)
+        dist = cls(p)
+        same_n("probability vector length", n, dist.n)
+        return dist
 
     def to_json(self) -> dict:
         return {"n": self.n, "p": self.p.tolist()}
@@ -161,6 +157,7 @@ def is_stable(lut: LutTable, p: Distribution, tol: float = FIXED_POINT_TOL) -> b
     """True when p is a fixed point of self-convolution, i.e. the law of
     X1 (+) X2 equals p within total variation tol."""
     same_n("distribution size", lut.n, p.n)
+    tol = as_real(tol, "tol")
     return _tv_raw(_convolve_raw(lut.table, np.outer(p.p, p.p)), p.p) <= tol
 
 
@@ -181,8 +178,7 @@ def limit(
     payload is guaranteed stable at tolerance 2*tol.
     """
     same_n("distribution size", lut.n, p.n)
-    if not 0 < tol < np.inf:  # NaN fails both
-        raise ValidityError(f"tol must be finite and > 0, got {tol!r}")
+    tol = as_real(tol, "tol", positive=True)
     max_doublings = as_int(max_doublings, "max_doublings", 1)
     if not is_associative(lut):
         raise ValidityError("table is not associative; limits are ill-defined")

@@ -11,22 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidityError
-from .dist import Distribution
-from .lut import MASS_EPS, Alphabet, LutTable, as_index, as_int, same_n
+from .dist import SUM_TOL, Distribution
+from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, same_n
 
 
 class Cdf:
-    """Cumulative probabilities F_k = Pr(X <= x_k) in index order."""
+    """Cumulative probabilities F_k = Pr(X <= x_k) in index order, checked
+    within SUM_TOL; the last is set to 1."""
 
-    def __init__(self, F, tol: float = 1e-9):
-        arr = np.asarray(F, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidityError("cdf must be a non-empty 1-d sequence")
-        if (np.diff(arr) < -tol).any():
+    def __init__(self, F):
+        arr = as_array(F, "cdf")
+        if (np.diff(arr) < -SUM_TOL).any():
             raise ValidityError("cdf must be non-decreasing")
-        if arr.min() < -tol or arr.max() > 1.0 + tol:
+        if arr.min() < -SUM_TOL or arr.max() > 1.0 + SUM_TOL:
             raise ValidityError("cdf values must lie in [0, 1]")
-        if abs(arr[-1] - 1.0) > tol:
+        if abs(arr[-1] - 1.0) > SUM_TOL:
             raise ValidityError(f"cdf must end at 1, got {arr[-1]!r}")
         arr = np.clip(arr, 0.0, 1.0)
         arr[-1] = 1.0
@@ -57,11 +56,7 @@ def max_convolve(p: Distribution, q: Distribution) -> Distribution:
     """Law of max(X, Y) for independent X ~ p, Y ~ q: the CDF is the product
     of the CDFs."""
     same_n("distribution size", p.n, q.n)
-    Fp = np.cumsum(p.p)
-    Fq = np.cumsum(q.p)
-    prod = Fp * Fq
-    prod[-1] = 1.0
-    return Cdf(prod).to_distribution()
+    return Cdf(np.cumsum(p.p) * np.cumsum(q.p)).to_distribution()
 
 
 def max_stable_set(n: int) -> list[Distribution]:
@@ -72,9 +67,10 @@ def max_stable_set(n: int) -> list[Distribution]:
 
 def max_doa(p: Distribution, x: int) -> bool:
     """Whether p is attracted to the point mass at x under max folding:
-    no mass above x and positive mass at x."""
+    no mass above x and mass at x, where a point of mass at most MASS_EPS
+    counts as absent, as in `doa_attractor`."""
     x = as_index(x, p.n, "x")
-    return bool(p.p[x + 1 :].sum() <= MASS_EPS and p.p[x] > 0.0)
+    return bool(p.p[x + 1 :].sum() <= MASS_EPS and p.p[x] > MASS_EPS)
 
 
 def max_nth_root(p: Distribution, n_parts: int) -> Distribution:
@@ -84,7 +80,4 @@ def max_nth_root(p: Distribution, n_parts: int) -> Distribution:
     entries stay zero.
     """
     n_parts = as_int(n_parts, "n_parts", 1)
-    F = np.cumsum(p.p)
-    F[-1] = 1.0
-    root = F ** (1.0 / n_parts)
-    return Cdf(root).to_distribution()
+    return Cdf(np.cumsum(p.p) ** (1.0 / n_parts)).to_distribution()

@@ -3,14 +3,17 @@
 A lookup table stores the binary operation x_i (+) x_j as an N x N matrix of
 alphabet indices.  Everything downstream (convolution powers, stable-law
 classification) only needs the index matrix; the alphabet is a relabeling
-layer kept alongside for presentation.  The ``json_*`` helpers here check
-the numbers of every JSON document the package reads; `as_int`, `as_index`,
-`index_set` and `same_n` check every count, index, index set and pair of
-sizes passed to a public function of the package.
+layer kept alongside for presentation.  The helpers here read every
+argument of the package: `as_array` every vector or table, from Python or
+from a JSON document; `as_real` every tolerance and intensity; `as_int`,
+`as_index`, `index_set` and `same_n` every count, index, index set and pair
+of sizes.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from typing import NamedTuple
 
@@ -23,40 +26,40 @@ MASS_EPS = 1e-12  # mass at or below this counts as absent (a point, or a tail)
 CYCLIC, MAX, RAW = "cyclic", "max", "raw"  # the kinds of Structure
 
 
-def json_numbers(value, what: str) -> np.ndarray:
-    """A JSON number or nested list of numbers as an array.  Strings,
-    booleans, nulls, objects and ragged lists raise ValidityError."""
+def as_array(values, what: str, dtype=float, ndim: int = 1, entries: str | None = None) -> np.ndarray:
+    """values, numbers nested ndim deep, as a fresh array of dtype.  Strings,
+    bools, nulls, objects, ragged nesting, complex values for a real dtype,
+    an empty array and a non-finite entry raise ValidityError; so does, for
+    an integer dtype, an entry that is not integral or not below 2^62 in
+    size, while JSON's 2.0 reads as 2.  The messages call the array what and
+    its entries entries (default "{what} entries")."""
+    entries = entries or f"{what} entries"
     try:
-        arr = np.asarray(value)
-    except ValueError as exc:  # ragged nesting
-        raise ValidityError(f"{what} is not a numeric array: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting, rejected below as an object array
+        arr = np.asarray(None)
+    if arr.dtype.kind not in ("iufc" if np.dtype(dtype).kind == "c" else "iuf"):
         raise ValidityError(f"{what} must hold numbers only")
-    return arr
-
-
-def json_integers(value, what: str) -> np.ndarray:
-    """As json_numbers, copied to intp; a float entry must be integral (2.0,
-    not 2.5 or NaN) and within the int64 range."""
-    arr = json_numbers(value, what)
-    if arr.dtype.kind == "f" and not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62)).all():
-        raise ValidityError(f"{what} entries must be integers")
-    return arr.astype(np.intp)
+    if arr.ndim != ndim or arr.size < 1:
+        shape = f"a non-empty {ndim}-d sequence" if ndim else "a single number"
+        raise ValidityError(f"{what} must be {shape}")
+    if not np.isfinite(arr).all():
+        raise ValidityError(f"{entries} must be finite")
+    if np.dtype(dtype).kind in "iu" and not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62)).all():
+        raise ValidityError(f"{entries} must be integers")
+    return arr.astype(dtype)
 
 
 def json_size(value) -> int:
     """The size field ``n`` of a JSON document."""
-    arr = json_integers(value, "n")
-    if arr.ndim != 0:
-        raise ValidityError("n must be a single integer")
-    return int(arr)
+    return int(as_array(value, "n", np.intp, ndim=0))
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
     """value, a Python or numpy integer, as a Python int, checked to be at
     least low when low is given.  A bool, float (even 2.0) or string is a
     caller's mistake and raises ValidityError; a JSON document, which may
-    write an integer as 2.0, goes through json_integers instead."""
+    write an integer as 2.0, goes through as_array instead."""
     try:
         if isinstance(value, (bool, np.bool_)):  # operator.index takes bool as an int
             raise TypeError
@@ -66,6 +69,21 @@ def as_int(value, name: str, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValidityError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def as_real(value, name: str, positive: bool = False) -> float:
+    """value, a finite Python or numpy real, as a Python float, checked to be
+    >= 0, or > 0 when positive.  A bool, string or complex raises
+    ValidityError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is not Real
+        raise ValidityError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # a Python int beyond the float range
+        x = math.inf
+    if not ((x > 0 if positive else x >= 0) and x < math.inf):  # NaN fails both
+        raise ValidityError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return x
 
 
 def as_index(value, n: int, name: str) -> int:
@@ -100,11 +118,7 @@ class Alphabet:
     """Ordered list of N pairwise-distinct finite real values, indexed 0..N-1."""
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float)  # a copy: the caller's array stays writable
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidityError("alphabet must be a non-empty 1-d sequence of reals")
-        if not np.isfinite(arr).all():
-            raise ValidityError("alphabet values must be finite")
+        arr = as_array(values, "alphabet", entries="alphabet values")  # a copy: the caller's array stays writable
         # a sorted compare, not np.unique: with numpy 2.4 its first call
         # imports numpy.ma, about 13 ms of a CLI process
         srt = np.sort(arr)
@@ -134,7 +148,7 @@ class LutTable:
     """
 
     def __init__(self, alphabet: Alphabet, table):
-        tab = json_integers(table, "table")  # a copy: the caller's array stays writable
+        tab = as_array(table, "table", np.intp, ndim=2)  # a copy: the caller's array stays writable
         n = alphabet.n
         if tab.shape != (n, n):
             raise ValidityError(f"table must be {n}x{n}, got shape {tab.shape}")
@@ -154,14 +168,12 @@ class LutTable:
     @classmethod
     def from_json(cls, doc: dict) -> "LutTable":
         try:
-            n = json_size(doc["n"])
-            alphabet = json_numbers(doc["alphabet"], "alphabet")
-            table = doc["table"]
+            n, alphabet, table = json_size(doc["n"]), doc["alphabet"], doc["table"]
         except (KeyError, TypeError) as exc:
             raise ValidityError(f"lut document missing field: {exc}") from exc
-        if alphabet.ndim == 1:
-            same_n("alphabet length", n, alphabet.size)
-        return cls(Alphabet(alphabet), table)
+        alphabet = Alphabet(alphabet)
+        same_n("alphabet length", n, alphabet.n)
+        return cls(alphabet, table)
 
     def to_json(self) -> dict:
         return {
@@ -298,7 +310,7 @@ def verify_left_subtraction(lut: LutTable, subset) -> bool:
     return all(np.array_equal(np.sort(lut.table[J, a]), J) for a in J)
 
 
-def degenerate_doa_necessary(lut: LutTable, x: int, p, tol: float = MASS_EPS) -> bool:
+def degenerate_doa_necessary(lut: LutTable, x: int, p) -> bool:
     """Necessary condition for p to be attracted to the point mass at x:
     all mass must sit on { y : x (+) y = x }.
 
@@ -309,4 +321,4 @@ def degenerate_doa_necessary(lut: LutTable, x: int, p, tol: float = MASS_EPS) ->
         raise ValidityError(f"index {x} is not idempotent (x (+) x != x)")
     same_n("distribution size", lut.n, p.n)
     mass = p.p[lut.table[x] == x].sum()
-    return bool(mass >= 1.0 - tol)
+    return bool(mass >= 1.0 - MASS_EPS)

@@ -515,3 +515,61 @@ def test_integer_arguments_take_any_integer_and_nothing_else(name):
     for bad in (2.5, np.float64(2.0), True, np.True_, "2") + ((out_of_range,) if out_of_range is not None else ()):
         with pytest.raises(ValidityError):
             call(bad)
+
+
+# (entry point, a valid array argument as a nested list); each call puts its
+# array argument v where a vector, a table or a JSON number goes
+ARRAY_ARGUMENTS = {
+    "Alphabet": (Alphabet, [0.0, 1.5, 3.0]),
+    "Distribution": (Distribution, [0.25, 0.75]),
+    "Spectrum": (Spectrum, [1.0, 0.5, 0.5]),
+    "Cdf": (ps.Cdf, [0.25, 1.0]),
+    "Permutation": (Permutation, [1, 0, 2]),
+    "LutTable": (lambda v: LutTable(Alphabet.canonical(2), v), [[0, 1], [1, 0]]),
+    "json_size": (lut_module.json_size, 2),
+    "Distribution.from_json n": (lambda v: Distribution.from_json({"n": v, "p": [0.25, 0.75]}), 2),
+    "Distribution.from_json p": (lambda v: Distribution.from_json({"n": 2, "p": v}), [0.25, 0.75]),
+    "Permutation.from_json": (lambda v: Permutation.from_json({"n": 3, "s": v}), [1, 0, 2]),
+    "LutTable.from_json alphabet": (lambda v: LutTable.from_json({"n": 2, "alphabet": v, "table": [[0, 1], [1, 0]]}),
+                                    [0, 1]),
+    "LutTable.from_json table": (lambda v: LutTable.from_json({"n": 2, "alphabet": [0, 1], "table": v}),
+                                 [[0, 1], [1, 0]]),
+}
+
+
+def _with_first(v, x):
+    """v, a number or nested list, with its first number replaced by x."""
+    return [_with_first(v[0], x)] + v[1:] if isinstance(v, list) else x
+
+
+@pytest.mark.parametrize("name", ARRAY_ARGUMENTS)
+def test_array_arguments_take_finite_numbers_only(name):
+    call, good = ARRAY_ARGUMENTS[name]
+    assert pickle.dumps(call(good)) == pickle.dumps(call(np.array(good, dtype=float)))
+    bad = [_with_first(good, x) for x in (np.nan, np.inf, -np.inf, "1")]
+    bad += [np.ones(np.shape(good), dtype=bool), [good, [good]], [good]]  # bools, ragged, one dimension too many
+    for v in bad:
+        with pytest.raises(ValidityError):
+            call(v)
+
+
+# (entry point, a valid real argument); each call puts its real argument v
+# where a tolerance or an intensity goes
+REAL_ARGUMENTS = {
+    "limit": (lambda v: ps.limit(make_max_lut(4), P4, tol=v), 1e-12),
+    "is_stable": (lambda v: ps.is_stable(make_mod_lut(4), P4, v), 1e-12),
+    "from_spectrum": (lambda v: ps.from_spectrum(ps.spectrum(P4), tol=v), 1e-9),
+    "decompose_id": (lambda v: ps.decompose_id(ps.construct_id(ps.IdDecomposition(1, 3, 0.5, P6)), tol=v), 1e-9),
+    "is_infinitely_divisible": (lambda v: ps.is_infinitely_divisible(P6, tol=v), 1e-9),
+    "IdDecomposition lam": (lambda v: ps.IdDecomposition(a=1, m=3, lam=v, jump=P6), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_arguments_take_finite_reals_only(name):
+    call, good = REAL_ARGUMENTS[name]
+    # the pickle holds the types too: a numpy float must not leak into a result
+    assert pickle.dumps(call(good)) == pickle.dumps(call(np.float64(good)))
+    for bad in (np.nan, np.inf, -1, True, "0.5"):
+        with pytest.raises(ValidityError):
+            call(bad)
