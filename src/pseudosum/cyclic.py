@@ -67,8 +67,8 @@ class Permutation:
 class Spectrum:
     """Characteristic values f(0..n-1) of a law on the relabeled cycle.
 
-    Valid spectra have f(0) = 1, modulus at most 1, and the conjugate
-    symmetry f(t) = conj(f(n-t)) of real probability vectors, within SUM_TOL.
+    Valid spectra have modulus at most 1, and f(0) = 1 and the conjugate
+    symmetry f(t) = conj(f(n-t)) of real probability vectors within SUM_TOL.
     """
 
     def __init__(self, f):
