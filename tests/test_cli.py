@@ -1,5 +1,7 @@
 import argparse
+import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -41,6 +43,18 @@ def test_public_names_are_pinned():
         max_stable_set multiply_spectra nth_root_oracle power relabel sample_index spectrum
         stable_distribution tv_distance verify_left_subtraction
     """.split()
+    # each name is resolved on first access from one table of its defining
+    # submodule, and is that module's own object
+    owners = {name: module for module, names in pseudosum._EXPORTS.items() for name in names}
+    assert set(owners) == set(pseudosum.__all__)
+    for name, module in owners.items():
+        value = getattr(importlib.import_module(f"pseudosum.{module}"), name)
+        assert getattr(pseudosum, name) is value, name
+        assert getattr(value, "__module__", f"pseudosum.{module}") == f"pseudosum.{module}", name
+    star: dict = {}
+    exec("from pseudosum import *", star)
+    assert set(star) - {"__builtins__"} == set(pseudosum.__all__)
+    assert set(pseudosum.__all__) | set(pseudosum._EXPORTS) <= set(dir(pseudosum))
 
 
 def test_check_mod6(tmp_path, capsys):
@@ -340,15 +354,81 @@ def test_table_commands_do_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
-def test_module_entry_point(tmp_path):
-    out = subprocess.run(
-        [sys.executable, "-m", "pseudosum", "stable", "--enumerate", "5"],
-        capture_output=True,
-        text=True,
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        # a usage error loads no numpy
+        (["check", "--bogus"], {"cli", "errors"}),
+        (["check", "--lut", "{t}"], {"cli", "errors", "lut"}),
+        (["max", "--convolve", "{d}", "{d}"], {"cli", "errors", "lut", "dist", "extremal"}),
+        (["doa", "--dist", "{d}"], {"cli", "errors", "lut", "dist", "cyclic"}),
+        (["simulate", "--lut", "{t}", "--dist", "{d}", "--m", "2", "--trials", "10", "--seed", "1"],
+         {"cli", "errors", "lut", "dist", "montecarlo"}),
+    ],
+    ids=["usage-error", "check-lut", "max-convolve", "doa", "simulate"],
+)
+def test_commands_import_only_their_modules(tmp_path, argv, loaded):
+    paths = {"t": write(tmp_path / "t.json", make_mod_lut(2).to_json()), "d": write(tmp_path / "d.json", HALF)}
+    code = (
+        "import contextlib, io, sys\n"
+        "from pseudosum.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    main({[a.format(**paths) for a in argv]!r})\n"
+        "print(*sorted(m[10:] for m in sys.modules if m.startswith('pseudosum.')))\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert out.returncode == 0
-    doc = json.loads(out.stdout)
-    assert len(doc["laws"]) == 2
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [" ".join(sorted(loaded)), str("lut" in loaded)]
+
+
+def python_m(*argv, **kwargs):
+    # buffered stdout, as for a user: os._exit would drop an unflushed result
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "pseudosum", *argv], env=env, text=True, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["stable", "--enumerate", "5"], 0, id="success"),
+        pytest.param(["--help"], 0, id="help"),
+        pytest.param(["check", "--gen", "bogus9"], 1, id="invalid-input"),
+        pytest.param(["check", "--bogus"], 2, id="usage-error"),
+        pytest.param(["stable", "--enumerate", "360", "--out", "{out}"], 0, id="out-file"),
+    ],
+)
+def test_module_entry_point(tmp_path, argv, code):
+    res = tmp_path / "res.json"
+    out = python_m(*(a.format(out=res) for a in argv), capture_output=True)
+    assert out.returncode == code, out.stderr
+    if argv == ["--help"]:
+        # written by argparse outside main's flush: run() flushes it
+        assert out.stdout.startswith("usage: pseudosum") and out.stderr == ""
+    elif code == 0:
+        assert out.stderr == ""
+        if "--out" in argv:
+            assert out.stdout == ""
+        doc = json.loads(res.read_text() if "--out" in argv else out.stdout)
+        assert len(doc["laws"]) == {"5": 2, "360": 24}[argv[2]]
+    elif code == 1:
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == ["pseudosum check: unknown generator 'bogus9'; expected modN, maxN, or perm:FILE"]
+    else:
+        assert out.stdout == ""
+        assert out.stderr.splitlines()[-1] == "pseudosum: error: unrecognized arguments: --bogus"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_result_write_exits_1_with_one_line():
+    # the result is flushed inside main: a failed write used to surface at
+    # interpreter exit as "Exception ignored ... OSError" and exit 120.  The
+    # device takes no byte, so there is no stdout to read back.
+    with open("/dev/full", "w") as full:
+        out = python_m("check", "--gen", "mod4", stdout=full, stderr=subprocess.PIPE)
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pseudosum check: "), out.stderr
 
 
 def test_seed_is_required_for_simulate(tmp_path, capsys, mod2):
