@@ -72,57 +72,8 @@ _EXPORTS = {
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Alphabet",
-    "Cdf",
-    "CONVERGED",
-    "CYCLE",
-    "Distribution",
-    "IdDecomposition",
-    "LimitResult",
-    "LutTable",
-    "MAX_ITERATIONS",
-    "Permutation",
-    "SimConfig",
-    "Spectrum",
-    "StableLaw",
-    "ValidityError",
-    "apply",
-    "check_associative",
-    "check_commutative",
-    "classify_stable",
-    "construct_id",
-    "convolve",
-    "decompose_id",
-    "degenerate_doa_necessary",
-    "doa_attractor",
-    "empirical_fold",
-    "enumerate_stable",
-    "find_idempotents",
-    "find_identity",
-    "from_spectrum",
-    "in_doa",
-    "is_associative",
-    "is_infinitely_divisible",
-    "is_stable",
-    "limit",
-    "make_cyclic_lut",
-    "make_max_lut",
-    "make_mod_lut",
-    "max_convolve",
-    "max_doa",
-    "max_nth_root",
-    "max_stable_set",
-    "multiply_spectra",
-    "nth_root_oracle",
-    "power",
-    "relabel",
-    "sample_index",
-    "spectrum",
-    "stable_distribution",
-    "tv_distance",
-    "verify_left_subtraction",
-]
+# capitalized names (classes, constants) first, each group in case-blind order
+__all__ = sorted(_OWNER, key=lambda s: (s[0].islower(), s.lower()))
 
 __version__ = "0.1.0"
 

@@ -49,7 +49,7 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidityError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -114,6 +114,8 @@ def _emit(doc: dict, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    elif sys.stdout is None:  # descriptor 1 was closed at start-up
+        raise OSError("standard output is closed")
     else:
         # flushed here, inside main's error handling: a failed write (a full
         # device, a closed pipe) is then the usual one-line exit 1
@@ -358,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(args.command, "", exc)
     except MemoryError as exc:
         return _fail(args.command, "out of memory", exc)
-    except RuntimeError as exc:
+    except Exception as exc:  # any other failure, such as numpy's size limit, is one line too
         return _fail(args.command, "internal error", exc)
     return 0
 

@@ -16,7 +16,11 @@ from pseudosum.cli import main
 
 
 def write(path, doc):
-    path.write_text(json.dumps(doc))
+    """doc written as JSON, or as it is if it is bytes."""
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -318,6 +322,10 @@ SIZES = "permutation size 3 does not match n=2"
         ({"d": HALF, "s": S3}, ["doa", "--dist", "{d}", "--target", "2", "--perm", "{s}"], SIZES),
         ({"d": HALF, "s": S3}, ["id", "--dist", "{d}", "--perm", "{s}"], SIZES),
         ({"d": HALF, "s": S3}, ["spectrum", "--dist", "{d}", "--perm", "{s}"], SIZES),
+        # a file that is not UTF-8, and sizes beyond numpy's, used to raise a raw traceback
+        ({"t": b"\xff\xfe\x00bad"}, ["check", "--lut", "{t}"], "not valid JSON"),
+        ({}, ["stable", "--enumerate", "99999999999999999999"], "internal error"),
+        ({}, ["check", "--gen", "max99999999999999999999"], "internal error"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):
@@ -426,6 +434,17 @@ def test_failed_result_write_exits_1_with_one_line():
     # device takes no byte, so there is no stdout to read back.
     with open("/dev/full", "w") as full:
         out = python_m("check", "--gen", "mod4", stdout=full, stderr=subprocess.PIPE)
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pseudosum check: "), out.stderr
+
+
+def test_closed_stdout_exits_1_with_one_line():
+    # with descriptor 1 closed at start-up, sys.stdout is None and print
+    # drops the result: the process used to exit 0 having written nothing
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    out = subprocess.run(["sh", "-c", '"$0" -m pseudosum check --gen mod4 >&-', sys.executable],
+                         env=env, text=True, stderr=subprocess.PIPE)
     assert out.returncode == 1
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pseudosum check: "), out.stderr

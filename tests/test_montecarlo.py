@@ -179,8 +179,8 @@ def test_reference_uniforms_are_splitmix64():
 
 
 def test_blocked_fold_matches_all_at_once_kernel():
-    from pseudosum.lut import MAX, RAW, structure
-    from pseudosum.montecarlo import _BLOCK
+    from pseudosum.lut import MAX, RAW, check_associative, structure
+    from pseudosum.montecarlo import _BLOCK, _support_zero
 
     rng = np.random.default_rng(77)
     # Dirichlet(0.2) laws have tiny masses, so the guide table's wide buckets
@@ -222,6 +222,70 @@ def test_blocked_fold_matches_all_at_once_kernel():
                 for workers in (1, 3, trials + 5):
                     got = empirical_fold(lut, p, cfg, workers=workers)
                     assert got.p.tobytes() == want, (lut.n, trials, m, workers)
+    # laws whose support has a zero, where trials stop drawing once they reach
+    # it: Z_8 plus an absorbing point, with the zero's mass from 0 to 1 (the
+    # point mass needs the zero last, the mass 0 needs it elsewhere)
+    zero_cases = []
+    for mass in (0.0, 1e-6, 0.5, 1.0):
+        lut, z = _absorbing_lut(rng, 8, last=mass == 1.0)
+        q = rng.dirichlet(np.full(9, 0.5))
+        q[z] = 0.0
+        q *= (1.0 - mass) / q.sum()
+        q[z] = mass
+        zero_cases.append((lut, Distribution(q)))
+    # a max table whose top rank holds half the mass, and a point mass on it
+    q = rng.dirichlet(np.full(16, 0.5))
+    q[-1] += q.sum()
+    zero_cases += [(make_max_lut(16), Distribution(q / q.sum())), (make_max_lut(16), Distribution.point_mass(16, 15))]
+    # a non-associative table in which 3 absorbs the support, but not 5, of mass 0
+    table = rng.integers(7, size=(7, 7))
+    table[3, :] = table[:, 3] = 3
+    table[3, 5] = 1
+    odd = LutTable(Alphabet.canonical(7), table)
+    q = rng.dirichlet(np.full(7, 1.0))
+    q[5] = 0.0
+    assert check_associative(odd) is not None and _support_zero(odd.table, q) == 3
+    zero_cases.append((odd, Distribution(q / q.sum())))
+    for lut, p in zero_cases:
+        assert p.p[-1] > 0
+        for trials in (1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3):
+            for m in (1, 2, 3, 33, 64):
+                cfg = SimConfig(seed=int(rng.integers(2**63)), trials=trials, m=m)
+                got = empirical_fold(lut, p, cfg)
+                assert got.p.tobytes() == _ref_fold(lut, p, cfg).p.tobytes(), (lut.n, trials, m)
+
+
+def _absorbing_lut(rng, k, last=False):
+    """Z_k through a random relabeling plus an absorbing point, the zero of
+    every support; returns the table and the zero's label (the last one if
+    last, else any other)."""
+    base = np.full((k + 1, k + 1), k)
+    base[:k, :k] = (np.arange(k)[:, None] + np.arange(k)[None, :]) % k
+    zero = k if last else int(rng.integers(k))
+    sigma = np.append(rng.permutation(np.delete(np.arange(k + 1), zero)), zero)
+    table = np.empty_like(base)
+    table[np.ix_(sigma, sigma)] = sigma[base]
+    return LutTable(Alphabet.canonical(k + 1), table), zero
+
+
+def test_trials_at_the_zero_stop_drawing(monkeypatch):
+    # a point mass on the zero: every trial is there after one draw, so a
+    # block makes one SplitMix64 pass, not m, on the max path and the generic
+    import pseudosum.montecarlo as mc
+
+    splitmix, calls = mc._splitmix, []
+
+    def counting(z, out, tmp):
+        calls.append(z.size)
+        return splitmix(z, out, tmp)
+
+    monkeypatch.setattr(mc, "_splitmix", counting)
+    trials, blocks = 2 * mc._BLOCK + 5, 3
+    for lut, z in ((make_max_lut(8), 5), _absorbing_lut(np.random.default_rng(3), 7)):
+        calls.clear()
+        got = empirical_fold(lut, Distribution.point_mass(lut.n, z), SimConfig(seed=11, trials=trials, m=1000))
+        assert got.p.tolist() == np.eye(lut.n)[z].tolist()
+        assert len(calls) <= 2 * blocks, len(calls)
 
 
 def test_relabeled_max_folds_in_rank_order():
