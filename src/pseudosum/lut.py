@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import ValidityError
 
-_ASSOC_BLOCK = 1 << 20  # triples compared per block by check_associative
+# triples compared per block by check_associative: one row of N^2 from
+# N = 256 on, indexed through the table's own intp array, never re-cast
+_ASSOC_BLOCK = 1 << 16
 MASS_EPS = 1e-12  # mass at or below this counts as absent (a point, or a tail)
 CYCLIC, MAX, RAW = "cyclic", "max", "raw"  # the kinds of Structure
 
@@ -43,11 +45,17 @@ def as_array(values, what: str, dtype=float, ndim: int = 1, entries: str | None 
     if arr.ndim != ndim or arr.size < 1:
         shape = f"a non-empty {ndim}-d sequence" if ndim else "a single number"
         raise ValidityError(f"{what} must be {shape}")
-    if not np.isfinite(arr).all():
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
         raise ValidityError(f"{entries} must be finite")
-    if np.dtype(dtype).kind in "iu" and not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62)).all():
+    if np.dtype(dtype).kind in "iu" and not (
+        (arr.dtype.kind in "iu" or (arr == np.trunc(arr)).all())
+        and -(2.0**62) < float(arr.min())
+        and float(arr.max()) < 2.0**62  # min/max, not np.abs: that overflows at -2^63
+    ):
         raise ValidityError(f"{entries} must be integers")
-    return arr.astype(dtype)
+    # np.asarray made arr for this call unless it is the caller's own array
+    # or a view of the caller's buffer: only those need a copy
+    return arr.astype(dtype, copy=arr is values or not arr.flags.owndata)
 
 
 def json_size(value) -> int:
@@ -246,14 +254,17 @@ def check_associative(lut: LutTable) -> tuple[int, int, int] | None:
 
 def _scan_associative(table: np.ndarray) -> tuple[int, int, int] | None:
     n = table.shape[0]
-    t = table.astype(np.min_scalar_type(n - 1))
+    t = table.astype(np.min_scalar_type(n - 1))  # the gathered values
     rows = max(1, _ASSOC_BLOCK // (n * n))
     for lo in range(0, n, rows):
         blk = t[lo : lo + rows]
-        # bad[i, j, k]: t[lo+i, t[j, k]] != t[t[lo+i, j], k].  np.take, not
-        # blk[:, t]: with numpy 2.4 on a Xeon the latter ran 2-4x slower at
-        # 2-8 rows per block, np.take at an even pace for every height.
-        bad = np.take(blk, t, axis=1) != t[blk]
+        # bad[i, j, k]: t[lo+i, t[j, k]] != t[t[lo+i, j], k], indexed through
+        # the intp table, as narrow indices would be re-cast to an N^2 intp
+        # temporary.  np.take, not blk[:, table]: with numpy 2.4 on a Xeon the
+        # latter ran 2-4x slower.  np.take copies a read-only index array such
+        # as table, though, so a one-row block indexes its row directly.
+        left = np.take(blk, table, axis=1) if rows > 1 else blk[0][table][None]
+        bad = left != t[blk]
         first = bad.argmax()  # row-major = lexicographic order
         if bad.flat[first]:
             i, j, k = np.unravel_index(first, bad.shape)

@@ -46,14 +46,37 @@ def naive_first_assoc_failure(table):
         (lambda a: LutTable(Alphabet.canonical(2), a), np.array([[0, 1], [1, 0]], dtype=np.intp), "table"),
         (Permutation, np.array([1, 0, 2], dtype=np.intp), "s"),
         (Spectrum, np.array([1.0, 0.5, 0.5], dtype=complex), "f"),
+        # a list is read into a new array; a memoryview's array is the caller's buffer
+        (lambda a: LutTable(Alphabet.canonical(2), a), [[0, 1], [1, 0]], "table"),
+        (lambda a: LutTable(Alphabet.canonical(2), memoryview(a)), np.array([[0, 1], [1, 0]], dtype=np.intp), "table"),
+        (Permutation, [1, 0, 2], "s"),
+        (lambda a: Permutation(memoryview(a)), np.array([1, 0, 2], dtype=np.intp), "s"),
     ],
-    ids=["Alphabet", "LutTable", "Permutation", "Spectrum"],
+    ids=[
+        "Alphabet", "LutTable", "Permutation", "Spectrum",
+        "LutTable-list", "LutTable-memoryview", "Permutation-list", "Permutation-memoryview",
+    ],
 )
 def test_constructors_copy_the_callers_array(build, arr, attr):
     obj = build(arr)
     before = getattr(obj, attr).copy()
     arr[0] = arr[1]  # raises if the constructor froze the caller's array
     assert np.array_equal(getattr(obj, attr), before)
+
+
+def test_as_array_integer_bound():
+    # |x| < 2^62, compared as floats; np.abs of the int64 minimum overflowed
+    # to itself, so -2^63 once passed
+    for values in ([-(2**63), 1], [2**62, 0], [0, -(2**62)], [2.0**62], [-(2.0**62)], [2**63], [2**62 - 1], [2.5, 1]):
+        with pytest.raises(ValidityError, match="x entries must be integers"):
+            lut_module.as_array(values, "x", np.intp)
+        with pytest.raises(ValidityError, match="x entries must be integers"):
+            lut_module.as_array(np.array(values), "x", np.intp)
+    top = 2**62 - 2**10  # the largest float below 2^62 is 2^62 - 2^9
+    for values in ([2.0, 3], [top, -top], [float(top), -float(top)], [0]):
+        for arg in (values, np.array(values)):
+            got = lut_module.as_array(arg, "x", np.intp)
+            assert got.dtype == np.intp and got.tolist() == [int(v) for v in values]
 
 
 def test_alphabet_rejects_duplicates():
@@ -181,6 +204,21 @@ def test_check_associative_memory_is_bounded():
     got, peak = _traced_peak(check_associative, lut)
     assert got is None
     assert peak < 64 * 2**20
+
+
+def test_check_associative_memory_at_n256():
+    # a relabeled Z_16 x max_16 is associative but neither cyclic nor max, so
+    # every block is scanned; indices re-cast to intp took 512 KiB a block
+    a, b = np.divmod(np.arange(256), 16)
+    op = ((a[:, None] + a) % 16) * 16 + np.maximum.outer(b, b)
+    s = np.random.default_rng(19).permutation(256)
+    table = np.empty_like(op)
+    table[s[:, None], s] = s[op]
+    lut = LutTable(Alphabet.canonical(256), table)
+    got, peak = _traced_peak(check_associative, lut)
+    assert lut_module.structure(lut).kind == lut_module.RAW
+    assert got is None
+    assert peak < 2 * 2**20
 
 
 def test_structure_agrees_with_checks(monkeypatch):
