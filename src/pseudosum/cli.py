@@ -14,18 +14,17 @@ import json
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
+
+import pseudosum as ps
 
 from .errors import ValidityError
 
-if TYPE_CHECKING:
-    from .cyclic import Permutation
-    from .dist import Distribution
-    from .lut import LutTable
-
-# Each command imports the modules it calls, so a process loads only its
-# subcommand's part of the package (`check --lut` loads lut alone, and a
-# usage error loads no numpy).
+# The library is called only as ps.<name>: the package's _EXPORTS table
+# imports a submodule on a name's first use, so a process loads only what
+# its subcommand calls (`check --lut` loads lut alone).  A usage error, or an
+# argument or file rejected before any library call, loads no numpy: each
+# loader reads its file before it names a ps class.
 
 SCHEMA_VERSION = 1
 
@@ -60,53 +59,36 @@ def _int_arg(text: str, name: str) -> int:
         raise ValidityError(f"{name} must be an integer, got {text!r}") from None
 
 
-def _load_dist(path: str) -> Distribution:
-    from .dist import Distribution
+def _load_dist(path: str) -> ps.Distribution:
+    doc = _read_json(path)
+    return ps.Distribution.from_json(doc)
 
-    return Distribution.from_json(_read_json(path))
 
-
-def _load_perm(path: str | None) -> Permutation | None:
+def _load_perm(path: str | None) -> ps.Permutation | None:
     if path is None:
         return None
-    from .cyclic import Permutation
-
-    return Permutation.from_json(_read_json(path))
+    doc = _read_json(path)
+    return ps.Permutation.from_json(doc)
 
 
 _GEN_RE = re.compile(r"^(mod|max)(\d+)$")
 
 
-def _load_lut(args) -> LutTable:
+def _load_lut(args) -> ps.LutTable:
     if getattr(args, "lut", None):
-        from .lut import LutTable
-
-        return LutTable.from_json(_read_json(args.lut))
+        doc = _read_json(args.lut)
+        return ps.LutTable.from_json(doc)
     gen = getattr(args, "gen", None)
     if gen:
         m = _GEN_RE.match(gen)
         if m:
             n = int(m.group(2))
-            if m.group(1) == "mod":
-                from .cyclic import make_mod_lut
-
-                return make_mod_lut(n)
-            from .extremal import make_max_lut
-
-            return make_max_lut(n)
+            return ps.make_mod_lut(n) if m.group(1) == "mod" else ps.make_max_lut(n)
         if gen.startswith("perm:"):
-            return _cyclic_lut_from_file(gen[len("perm:") :])
-        raise ValidityError(
-            f"unknown generator {gen!r}; expected modN, maxN, or perm:FILE"
-        )
+            perm = _load_perm(gen[len("perm:") :])
+            return ps.make_cyclic_lut(perm.n, perm)
+        raise ValidityError(f"unknown generator {gen!r}; expected modN, maxN, or perm:FILE")
     raise ValidityError("no table given; use --lut FILE or --gen SPEC")
-
-
-def _cyclic_lut_from_file(path: str) -> LutTable:
-    from .cyclic import Permutation, make_cyclic_lut
-
-    perm = Permutation.from_json(_read_json(path))
-    return make_cyclic_lut(perm.n, perm)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -204,125 +186,105 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> dict:
-    from .lut import check_associative, check_commutative, find_idempotents, find_identity
-
     lut = _load_lut(args)
-    assoc = check_associative(lut)
-    comm = check_commutative(lut)
+    assoc = ps.check_associative(lut)
+    comm = ps.check_commutative(lut)
     doc: dict = {"n": lut.n, "associative": assoc is None}
     if assoc is not None:
         doc["counterexample"] = list(assoc)
     doc["commutative"] = comm is None
     if comm is not None:
         doc["commutative_counterexample"] = list(comm)
-    doc["identity"] = find_identity(lut)
-    doc["idempotents"] = find_idempotents(lut)
+    doc["identity"] = ps.find_identity(lut)
+    doc["idempotents"] = ps.find_idempotents(lut)
     return doc
 
 
 def _cmd_convolve(args) -> dict:
-    from .dist import convolve
-
     lut = _load_lut(args)
     p, q = (_load_dist(path) for path in args.dists)
-    return convolve(lut, p, q).to_json()
+    return ps.convolve(lut, p, q).to_json()
 
 
 def _cmd_power(args) -> dict:
-    from .dist import power
-
     lut = _load_lut(args)
-    return power(lut, _load_dist(args.dist), args.m).to_json()
+    return ps.power(lut, _load_dist(args.dist), args.m).to_json()
 
 
 def _cmd_limit(args) -> dict:
-    from .dist import CONVERGED, CYCLE, FIXED_POINT_TOL, limit
-
     lut = _load_lut(args)
-    tol = FIXED_POINT_TOL if args.tol is None else args.tol
-    res = limit(lut, _load_dist(args.dist), tol=tol, max_doublings=args.max_doublings)
+    tol = ps.dist.FIXED_POINT_TOL if args.tol is None else args.tol
+    res = ps.limit(lut, _load_dist(args.dist), tol=tol, max_doublings=args.max_doublings)
     doc = {"status": res.status, "doublings": res.doublings}
-    if res.status == CONVERGED:
+    if res.status == ps.CONVERGED:
         doc["limit"] = res.dist.p.tolist()
-    if res.status == CYCLE:
+    if res.status == ps.CYCLE:
         doc["period"] = res.period
     return doc
 
 
 def _cmd_stable(args) -> dict:
-    from .cyclic import enumerate_stable
-
     n = args.enumerate
     perm = _load_perm(args.perm)
     laws = [
         {"m": law.m, "r": law.r, "p": dist.p.tolist()}
-        for law, dist in enumerate_stable(n, perm)
+        for law, dist in ps.enumerate_stable(n, perm)
     ]
     return {"n": n, "laws": laws}
 
 
 def _cmd_doa(args) -> dict:
-    from .cyclic import StableLaw, doa_attractor, in_doa
-
     p = _load_dist(args.dist)
     perm = _load_perm(args.perm)
     if args.target is not None:
         if args.target < 1 or p.n % args.target != 0:
             raise ValidityError(f"target {args.target} must be a divisor of n={p.n}")
-        law = StableLaw(args.target, p.n // args.target)
-        return {"target": {"m": law.m, "r": law.r}, "in_doa": in_doa(p, law, perm)}
-    law = doa_attractor(p, perm)
+        law = ps.StableLaw(args.target, p.n // args.target)
+        return {"target": {"m": law.m, "r": law.r}, "in_doa": ps.in_doa(p, law, perm)}
+    law = ps.doa_attractor(p, perm)
     return {"attractor": None if law is None else {"m": law.m, "r": law.r}}
 
 
 def _cmd_id(args) -> dict:
-    from .cyclic import decompose_id, is_infinitely_divisible
-
     p = _load_dist(args.dist)
     perm = _load_perm(args.perm)
     if args.decompose:
-        d = decompose_id(p, perm, tol=args.tol)
+        d = ps.decompose_id(p, perm, tol=args.tol)
         dec = None if d is None else {"a": d.a, "m": d.m, "lambda": d.lam, "jump": d.jump.p.tolist()}
         return {"decomposition": dec}
-    return {"infinitely_divisible": is_infinitely_divisible(p, perm, tol=args.tol)}
+    return {"infinitely_divisible": ps.is_infinitely_divisible(p, perm, tol=args.tol)}
 
 
 def _cmd_spectrum(args) -> dict:
-    from .cyclic import spectrum
-
     p = _load_dist(args.dist)
     perm = _load_perm(args.perm)
-    f = spectrum(p, perm).f
+    f = ps.spectrum(p, perm).f
     return {"n": p.n, "spectrum": [[float(v.real), float(v.imag)] for v in f]}
 
 
 def _cmd_max(args) -> dict:
-    from .extremal import max_convolve, max_doa, max_nth_root
-
     if args.convolve:
         p, q = (_load_dist(path) for path in args.convolve)
-        return max_convolve(p, q).to_json()
+        return ps.max_convolve(p, q).to_json()
     if args.root:
         n_parts = _int_arg(args.root[0], "N")
-        return max_nth_root(_load_dist(args.root[1]), n_parts).to_json()
+        p = _load_dist(args.root[1])
+        return ps.max_nth_root(p, n_parts).to_json()
     x = _int_arg(args.doa[0], "X")
     p = _load_dist(args.doa[1])
-    return {"x": x, "in_doa": max_doa(p, x)}
+    return {"x": x, "in_doa": ps.max_doa(p, x)}
 
 
 def _cmd_simulate(args) -> dict:
-    from .dist import power, tv_distance
-    from .montecarlo import SimConfig, empirical_fold
-
     lut = _load_lut(args)
     p = _load_dist(args.dist)
-    cfg = SimConfig(seed=args.seed, trials=args.trials, m=args.m)
-    emp = empirical_fold(lut, p, cfg, workers=args.workers)
+    cfg = ps.SimConfig(seed=args.seed, trials=args.trials, m=args.m)
+    emp = ps.empirical_fold(lut, p, cfg, workers=args.workers)
     doc = {"n": p.n, "empirical": emp.p.tolist()}
     if args.compare_exact:
-        exact = power(lut, p, args.m)
+        exact = ps.power(lut, p, args.m)
         doc["exact"] = exact.p.tolist()
-        doc["tv"] = tv_distance(emp, exact)
+        doc["tv"] = ps.tv_distance(emp, exact)
     return doc
 
 

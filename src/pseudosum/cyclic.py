@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import SUM_TOL, Distribution, convolve, power, tv_distance
-from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, as_real, json_size, same_n
+from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, as_real, json_fields, same_n
 
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
@@ -49,10 +49,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Permutation":
-        try:
-            n, s = json_size(doc["n"]), doc["s"]
-        except (KeyError, TypeError) as exc:
-            raise ValidityError(f"permutation document missing field: {exc}") from exc
+        n, s = json_fields(doc, "permutation", "s")
         perm = cls(s)
         same_n("permutation length", n, perm.n)
         return perm
@@ -175,19 +172,19 @@ def spectrum(p: Distribution, s: Permutation | None = None) -> Spectrum:
     return Spectrum(_spectrum_raw(_relabeled_raw(p, s)))
 
 
-def from_spectrum(F: Spectrum, s: Permutation | None = None, tol: float = 1e-9) -> Distribution:
+def from_spectrum(F: Spectrum, s: Permutation | None = None) -> Distribution:
     """Invert a spectrum back to a law on the original labels.
 
     Rejects inverses that are not probability vectors: imaginary parts or
-    negative masses beyond tol.  Tiny negatives are clamped and the vector
-    renormalized.
+    negative masses beyond SUM_TOL.  Tiny negatives are clamped and the
+    vector renormalized.
     """
-    s, tol = _ident(s, F.n), as_real(tol, "tol")
+    s = _ident(s, F.n)
     q = np.fft.fft(F.f) / F.n
-    if np.abs(q.imag).max() > tol:
+    if np.abs(q.imag).max() > SUM_TOL:
         raise ValidityError("spectrum does not invert to a real vector")
     re = q.real
-    if re.min() < -tol:
+    if re.min() < -SUM_TOL:
         raise ValidityError("spectrum does not invert to a nonnegative vector")
     re = np.clip(re, 0.0, None)
     p = re[s.s]

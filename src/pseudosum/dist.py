@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidityError
 from .lut import (
     LutTable, as_array, as_index, as_int, as_real, find_identity, index_set, is_associative, is_commutative,
-    json_size, same_n,
+    json_fields, same_n,
 )
 
 SUM_TOL = 1e-9          # construction: |sum(p) - 1| beyond this is rejected
@@ -70,10 +70,7 @@ class Distribution:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Distribution":
-        try:
-            n, p = json_size(doc["n"]), doc["p"]
-        except (KeyError, TypeError) as exc:
-            raise ValidityError(f"distribution document missing field: {exc}") from exc
+        n, p = json_fields(doc, "distribution", "p")
         dist = cls(p)
         same_n("probability vector length", n, dist.n)
         return dist

@@ -4,10 +4,10 @@ A lookup table stores the binary operation x_i (+) x_j as an N x N matrix of
 alphabet indices.  Everything downstream (convolution powers, stable-law
 classification) only needs the index matrix; the alphabet is a relabeling
 layer kept alongside for presentation.  The helpers here read every
-argument of the package: `as_array` every vector or table, from Python or
-from a JSON document; `as_real` every tolerance and intensity; `as_int`,
-`as_index`, `index_set` and `same_n` every count, index, index set and pair
-of sizes.
+argument of the package: `json_fields` the fields of every JSON document;
+`as_array` every vector or table, from Python or from a JSON document;
+`as_real` every tolerance and intensity; `as_int`, `as_index`, `index_set`
+and `same_n` every count, index, index set and pair of sizes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +62,18 @@ def as_array(values, what: str, dtype=float, ndim: int = 1, entries: str | None 
 def json_size(value) -> int:
     """The size field ``n`` of a JSON document."""
     return int(as_array(value, "n", np.intp, ndim=0))
+
+
+def json_fields(doc, what: str, *names: str) -> tuple:
+    """The JSON document doc's size field ``n`` read by json_size, then its
+    fields names, in that order.  A doc that is not an object, or that lacks
+    a field, raises ValidityError naming the document what."""
+    if not isinstance(doc, Mapping):
+        raise ValidityError(f"{what} document must be a JSON object")
+    try:
+        return (json_size(doc["n"]), *(doc[name] for name in names))
+    except KeyError as exc:
+        raise ValidityError(f"{what} document missing field: {exc}") from exc
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
@@ -175,10 +188,7 @@ class LutTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LutTable":
-        try:
-            n, alphabet, table = json_size(doc["n"]), doc["alphabet"], doc["table"]
-        except (KeyError, TypeError) as exc:
-            raise ValidityError(f"lut document missing field: {exc}") from exc
+        n, alphabet, table = json_fields(doc, "lut", "alphabet", "table")
         alphabet = Alphabet(alphabet)
         same_n("alphabet length", n, alphabet.n)
         return cls(alphabet, table)
@@ -221,7 +231,7 @@ def structure(lut: LutTable) -> Structure:
     kind, order = RAW, None
     if idem.size == n:
         kind, lab, op, copies = MAX, np.count_nonzero(t == idx[:, None], axis=1) - 1, np.maximum, 1
-    elif idem.size == 1 and np.array_equal(t[idem[0]], idx) and np.array_equal(t[:, idem[0]], idx):
+    elif idem.size == 1 and find_identity(lut) is not None:
         e = x = idem[0]
         power, alive = idx, idx != e  # power[g] = g^k; alive[g]: g^j != e for 0 < j <= k
         for _ in range(n // 2 - 1):  # in Z_N a non-generator has order <= N/2
@@ -296,12 +306,12 @@ def check_commutative(lut: LutTable) -> tuple[int, int] | None:
 def find_identity(lut: LutTable) -> int | None:
     """The unique two-sided identity index, or None.
 
-    Two-sided identities are unique when they exist, so scanning in index
-    order is canonical.
+    An identity is idempotent, so only the idempotents are tried; two-sided
+    identities are unique when they exist, so their order does not matter.
     """
     t = lut.table
     idx = np.arange(lut.n)
-    for e in range(lut.n):
+    for e in find_idempotents(lut):
         if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
             return e
     return None

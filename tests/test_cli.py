@@ -326,6 +326,15 @@ SIZES = "permutation size 3 does not match n=2"
         ({"t": b"\xff\xfe\x00bad"}, ["check", "--lut", "{t}"], "not valid JSON"),
         ({}, ["stable", "--enumerate", "99999999999999999999"], "internal error"),
         ({}, ["check", "--gen", "max99999999999999999999"], "internal error"),
+        # a document that is not an object used to report a missing field
+        ({"t": [1, 2]}, ["check", "--lut", "{t}"], "lut document must be a JSON object"),
+        ({"t": "n"}, ["check", "--lut", "{t}"], "lut document must be a JSON object"),
+        ({"d": None}, ["spectrum", "--dist", "{d}"], "distribution document must be a JSON object"),
+        ({"d": 2}, ["max", "--root", "2", "{d}"], "distribution document must be a JSON object"),
+        ({"s": [2, 0, 1]}, ["check", "--gen", "perm:{s}"], "permutation document must be a JSON object"),
+        ({"d": HALF, "s": "s"}, ["spectrum", "--dist", "{d}", "--perm", "{s}"],
+         "permutation document must be a JSON object"),
+        ({"d": {"n": 2}}, ["spectrum", "--dist", "{d}"], "distribution document missing field: 'p'"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):
@@ -362,32 +371,51 @@ def test_table_commands_do_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
+BASE = {"cli", "errors"}
+DIST = BASE | {"lut", "dist"}
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        # a usage error loads no numpy
-        (["check", "--bogus"], {"cli", "errors"}),
-        (["check", "--lut", "{t}"], {"cli", "errors", "lut"}),
-        (["max", "--convolve", "{d}", "{d}"], {"cli", "errors", "lut", "dist", "extremal"}),
-        (["doa", "--dist", "{d}"], {"cli", "errors", "lut", "dist", "cyclic"}),
-        (["simulate", "--lut", "{t}", "--dist", "{d}", "--m", "2", "--trials", "10", "--seed", "1"],
-         {"cli", "errors", "lut", "dist", "montecarlo"}),
+        # a usage error, or an argument rejected before any library call, loads no numpy
+        pytest.param(["check", "--bogus"], BASE, id="usage-error"),
+        pytest.param(["check", "--gen", "bogus9"], BASE, id="check-gen-bogus"),
+        pytest.param(["max", "--root", "x", "{d}"], BASE, id="max-root-not-an-integer"),
+        pytest.param(["check", "--lut", "{t}"], BASE | {"lut"}, id="check-lut"),
+        pytest.param(["check", "--gen", "mod8"], DIST | {"cyclic"}, id="check-gen-mod"),
+        pytest.param(["check", "--gen", "max8"], DIST | {"extremal"}, id="check-gen-max"),
+        pytest.param(["check", "--gen", "perm:{s}"], DIST | {"cyclic"}, id="check-gen-perm"),
+        pytest.param(["convolve", "--lut", "{t}", "{d}", "{d}"], DIST, id="convolve"),
+        pytest.param(["power", "--lut", "{t}", "{d}", "--m", "3"], DIST, id="power"),
+        pytest.param(["limit", "--lut", "{t}", "--dist", "{d}"], DIST, id="limit"),
+        pytest.param(["stable", "--enumerate", "6"], DIST | {"cyclic"}, id="stable"),
+        pytest.param(["doa", "--dist", "{d}"], DIST | {"cyclic"}, id="doa"),
+        pytest.param(["id", "--dist", "{d}", "--decompose"], DIST | {"cyclic"}, id="id"),
+        pytest.param(["spectrum", "--dist", "{d}"], DIST | {"cyclic"}, id="spectrum"),
+        pytest.param(["max", "--convolve", "{d}", "{d}"], DIST | {"extremal"}, id="max-convolve"),
+        pytest.param(["simulate", "--lut", "{t}", "--dist", "{d}", "--m", "2", "--trials", "10", "--seed", "1"],
+                     DIST | {"montecarlo"}, id="simulate"),
+        pytest.param(["simulate", "--lut", "{t}", "--dist", "{d}", "--m", "2", "--trials", "10", "--seed", "1",
+                      "--compare-exact"], DIST | {"montecarlo"}, id="simulate-compare-exact"),
     ],
-    ids=["usage-error", "check-lut", "max-convolve", "doa", "simulate"],
 )
 def test_commands_import_only_their_modules(tmp_path, argv, loaded):
-    paths = {"t": write(tmp_path / "t.json", make_mod_lut(2).to_json()), "d": write(tmp_path / "d.json", HALF)}
+    paths = {"t": write(tmp_path / "t.json", make_mod_lut(2).to_json()), "d": write(tmp_path / "d.json", HALF),
+             "s": write(tmp_path / "s.json", {"n": 2, "s": [1, 0]})}
     code = (
         "import contextlib, io, sys\n"
         "from pseudosum.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    main({[a.format(**paths) for a in argv]!r})\n"
+        f"    code = main({[a.format(**paths) for a in argv]!r})\n"
+        "print(code == 0)\n"
         "print(*sorted(m[10:] for m in sys.modules if m.startswith('pseudosum.')))\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [" ".join(sorted(loaded)), str("lut" in loaded)]
+    # every command that reaches the library succeeds here
+    assert out.stdout.splitlines() == [str(loaded != BASE), " ".join(sorted(loaded)), str("lut" in loaded)]
 
 
 def python_m(*argv, **kwargs):

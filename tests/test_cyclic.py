@@ -168,7 +168,7 @@ def test_from_spectrum_rejects_non_probability():
     # passes every Spectrum invariant, but inverts to mass -0.425 at index 2
     f = Spectrum([1.0, 0.9, -0.9, 0.9])
     with pytest.raises(ValidityError):
-        from_spectrum(f, None, tol=1e-9)
+        from_spectrum(f, None)
 
 
 def test_multiply_spectra_homomorphism():
