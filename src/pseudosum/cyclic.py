@@ -152,24 +152,24 @@ def make_mod_lut(n: int) -> LutTable:
 
 def relabel(p: Distribution, s: Permutation | None = None) -> Distribution:
     """The law of s(X): mass at index k moves to index s[k]."""
-    return Distribution(_relabeled_raw(p, _ident(s, p.n)))
+    return Distribution(p.p[_ident(s, p.n).inv])
 
 
-def _relabeled_raw(p: Distribution, s: Permutation) -> np.ndarray:
-    q = np.empty(p.n)
-    q[s.s] = p.p
-    return q
-
-
-def _spectrum_raw(q: np.ndarray) -> np.ndarray:
+def _relabeled_spectrum(p: Distribution, s: Permutation) -> np.ndarray:
     # positive-exponent transform of the relabeled vector
-    return np.fft.ifft(q) * q.size
+    return np.fft.ifft(p.p[s.inv]) * p.n
+
+
+def _unrelabeled(q: np.ndarray, s: Permutation) -> Distribution:
+    """The law whose relabeled masses are q clipped at 0: pulled back
+    through s and divided by its sum."""
+    p = np.clip(q, 0.0, None)[s.s]
+    return Distribution(p / p.sum())
 
 
 def spectrum(p: Distribution, s: Permutation | None = None) -> Spectrum:
     """Characteristic values f(t) = sum_k p_k exp(2i pi s[k] t / n)."""
-    s = _ident(s, p.n)
-    return Spectrum(_spectrum_raw(_relabeled_raw(p, s)))
+    return Spectrum(_relabeled_spectrum(p, _ident(s, p.n)))
 
 
 def from_spectrum(F: Spectrum, s: Permutation | None = None) -> Distribution:
@@ -183,12 +183,9 @@ def from_spectrum(F: Spectrum, s: Permutation | None = None) -> Distribution:
     q = np.fft.fft(F.f) / F.n
     if np.abs(q.imag).max() > SUM_TOL:
         raise ValidityError("spectrum does not invert to a real vector")
-    re = q.real
-    if re.min() < -SUM_TOL:
+    if q.real.min() < -SUM_TOL:
         raise ValidityError("spectrum does not invert to a nonnegative vector")
-    re = np.clip(re, 0.0, None)
-    p = re[s.s]
-    return Distribution(p / p.sum())
+    return _unrelabeled(q.real, s)
 
 
 def multiply_spectra(F: Spectrum, G: Spectrum) -> Spectrum:
@@ -267,7 +264,7 @@ def construct_id(d: IdDecomposition, s: Permutation | None = None) -> Distributi
     a_rel = int(s.s[d.a])
     phase = np.exp(2j * np.pi * a_rel * t / n)
     uniform_part = (t % r == 0).astype(float)
-    f_jump = _spectrum_raw(_relabeled_raw(d.jump, s))
+    f_jump = _relabeled_spectrum(d.jump, s)
     F = phase * uniform_part * np.exp(d.lam * (f_jump - 1.0))
     return from_spectrum(Spectrum(F), s)
 
@@ -321,8 +318,7 @@ def decompose_id(
     """
     tol, n = as_real(tol, "tol"), p.n
     s = _ident(s, n)
-    q = _relabeled_raw(p, s)
-    f = _spectrum_raw(q)
+    f = _relabeled_spectrum(p, s)
     support = np.flatnonzero(np.abs(f) > ZERO_EPS)
     m = support.size
     if m == 0 or n % m != 0:
@@ -409,7 +405,7 @@ def nth_root_oracle(
     if (n // 2) * math.log2(n_parts) + 2 * math.log2(n) > math.log2(_ROOT_CELLS):
         raise ValidityError(f"root search too large: {n_parts}^{n // 2} * {n}^2 > {_ROOT_CELLS}")
     s = _ident(s, n)
-    f = _spectrum_raw(_relabeled_raw(p, s))
+    f = _relabeled_spectrum(p, s)
     lut = make_cyclic_lut(n, s)
     t = np.arange(n)
     digit = np.arange(n_parts if n > 1 else 1)  # N = 1: any n_parts passes, no branch is used
@@ -434,8 +430,7 @@ def nth_root_oracle(
         Q = np.fft.fft(cands, axis=1) / n
         ok = (np.abs(Q.imag).max(axis=1) <= 1e-10) & (Q.real.min(axis=1) >= -1e-10)
         for row in np.flatnonzero(ok):
-            qq = np.clip(Q[row].real, 0.0, None)
-            root = Distribution(qq[s.s] / qq.sum())
+            root = _unrelabeled(Q[row].real, s)
             folded = power(lut, root, n_parts)
             shifted = convolve(lut, folded, Distribution.point_mass(n, int(s.inv[a_rel])))
             if tv_distance(shifted, p) <= 1e-8:

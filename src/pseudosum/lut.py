@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import ValidityError
 
-# triples compared per block by check_associative: one row of N^2 from
-# N = 256 on, indexed through the table's own intp array, never re-cast
-_ASSOC_BLOCK = 1 << 16
 MASS_EPS = 1e-12  # mass at or below this counts as absent (a point, or a tail)
 CYCLIC, MAX, RAW = "cyclic", "max", "raw"  # the kinds of Structure
 
@@ -256,8 +253,8 @@ def check_associative(lut: LutTable) -> tuple[int, int, int] | None:
     """None when A(i, A(j,k)) == A(A(i,j), k) holds for all triples, else the
     lexicographically smallest failing (i, j, k).
 
-    Cyclic and max tables (`structure`) pass unscanned; others are scanned in
-    row blocks up to the first failing one, in O(block + N^2) memory.
+    Cyclic and max tables (`structure`) pass unscanned; others are scanned
+    one row i at a time up to the first failing one, in O(N^2) memory.
     """
     return None if structure(lut).kind != RAW else _scan_associative(lut.table)
 
@@ -265,20 +262,13 @@ def check_associative(lut: LutTable) -> tuple[int, int, int] | None:
 def _scan_associative(table: np.ndarray) -> tuple[int, int, int] | None:
     n = table.shape[0]
     t = table.astype(np.min_scalar_type(n - 1))  # the gathered values
-    rows = max(1, _ASSOC_BLOCK // (n * n))
-    for lo in range(0, n, rows):
-        blk = t[lo : lo + rows]
-        # bad[i, j, k]: t[lo+i, t[j, k]] != t[t[lo+i, j], k], indexed through
-        # the intp table, as narrow indices would be re-cast to an N^2 intp
-        # temporary.  np.take, not blk[:, table]: with numpy 2.4 on a Xeon the
-        # latter ran 2-4x slower.  np.take copies a read-only index array such
-        # as table, though, so a one-row block indexes its row directly.
-        left = np.take(blk, table, axis=1) if rows > 1 else blk[0][table][None]
-        bad = left != t[blk]
+    for i in range(n):
+        # bad[j, k]: t[i, t[j, k]] != t[t[i, j], k], indexed through the intp
+        # table, as narrow indices would be re-cast to an N^2 intp temporary
+        bad = t[i][table] != t[t[i]]
         first = bad.argmax()  # row-major = lexicographic order
         if bad.flat[first]:
-            i, j, k = np.unravel_index(first, bad.shape)
-            return lo + int(i), int(j), int(k)
+            return (i, *divmod(int(first), n))
     return None
 
 

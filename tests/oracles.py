@@ -1,0 +1,91 @@
+"""Independent oracles and fixtures shared by the test modules: literal loops
+and small builders that the library's fast paths are checked against."""
+
+import numpy as np
+
+from pseudosum import Distribution
+
+
+def naive_first_assoc_failure(table):
+    """Literal triple loop, the independent oracle for check_associative."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[i][table[j][k]] != table[table[i][j]][k]:
+                    return (i, j, k)
+    return None
+
+
+def associative_tables(n):
+    """Every associative n x n table over 0..n-1, as nested lists, found by
+    backtracking: cells are filled in row-major order, and each triple
+    (i, j, k) is checked once, when the last of its four cells t[i][j],
+    t[j][k], t[i][t[j][k]] and t[t[i][j]][k] is filled."""
+    t = [[0] * n for _ in range(n)]
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    out = []
+
+    def holds(c):
+        # cells at row-major position <= c are filled; check the triples
+        # whose last cell to be filled is c
+        for i, j, k in triples:
+            ij, jk = i * n + j, j * n + k
+            if ij > c or jk > c:
+                continue
+            left, right = i * n + t[j][k], t[i][j] * n + k
+            if left <= c and right <= c and c in (ij, jk, left, right) and t[i][t[j][k]] != t[t[i][j]][k]:
+                return False
+        return True
+
+    def fill(c):
+        if c == n * n:
+            out.append([row[:] for row in t])
+            return
+        for v in range(n):
+            t[c // n][c % n] = v
+            if holds(c):
+                fill(c + 1)
+
+    fill(0)
+    return out
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def random_law(rng, n):
+    kind = rng.integers(4)
+    if kind == 0:
+        return Distribution(rng.dirichlet(np.ones(n)))
+    if kind == 1:
+        return Distribution.point_mass(n, int(rng.integers(n)))
+    if kind == 2:
+        d = int(rng.choice(divisors(n)))
+        a = int(rng.integers(n))
+        return Distribution.uniform(n, [(a + j * d) % n for j in range(n // d)])
+    size = int(rng.integers(1, n + 1))
+    support = rng.choice(n, size=size, replace=False)
+    w = np.zeros(n)
+    w[support] = rng.dirichlet(np.ones(size))
+    return Distribution(w)
+
+
+def s3_table():
+    """The composition table of the symmetric group S_3: associative, not
+    commutative."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    return np.array([[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms])
+
+
+def cyclic_max_product(k, l, s=None):
+    """Z_k x ({0..l-1}, max), element (a, b) at index a*l + b, or at index
+    s[a*l + b] when a permutation s is given: associative."""
+    a, b = np.divmod(np.arange(k * l), l)
+    table = ((a[:, None] + a[None, :]) % k) * l + np.maximum.outer(b, b)
+    if s is None:
+        return table
+    out = np.empty_like(table)
+    out[np.ix_(s, s)] = s[table]
+    return out

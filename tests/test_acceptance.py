@@ -44,6 +44,8 @@ from pseudosum import (
 )
 from pseudosum.cyclic import ZERO_EPS
 
+from oracles import divisors, naive_first_assoc_failure, random_law
+
 SEED = 20260809
 
 
@@ -53,37 +55,6 @@ def _report(name, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _random_law(rng, n):
-    kind = rng.integers(4)
-    if kind == 0:
-        return Distribution(rng.dirichlet(np.ones(n)))
-    if kind == 1:
-        return Distribution.point_mass(n, int(rng.integers(n)))
-    if kind == 2:
-        d = int(rng.choice(_divisors(n)))
-        a = int(rng.integers(n))
-        return Distribution.uniform(n, [(a + j * d) % n for j in range(n // d)])
-    size = int(rng.integers(1, n + 1))
-    support = rng.choice(n, size=size, replace=False)
-    w = np.zeros(n)
-    w[support] = rng.dirichlet(np.ones(size))
-    return Distribution(w)
-
-
-def _naive_first_assoc_failure(table):
-    n = len(table)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[i][table[j][k]] != table[table[i][j]][k]:
-                    return (i, j, k)
-    return None
 
 
 def test_criterion_1_table_algebra():
@@ -103,7 +74,7 @@ def test_criterion_1_table_algebra():
         for _ in range(100):
             table = rng.integers(0, n, size=(n, n))
             lut = LutTable(Alphabet.canonical(n), table)
-            assert check_associative(lut) == _naive_first_assoc_failure(table.tolist())
+            assert check_associative(lut) == naive_first_assoc_failure(table.tolist())
             checked += 1
     _report("criterion 1: table algebra", True, f"{checked} random tables")
 
@@ -115,7 +86,7 @@ def test_criterion_2_stable_enumeration():
     for n in range(1, 25):
         lut = make_mod_lut(n)
         laws = enumerate_stable(n)
-        assert len(laws) == len(_divisors(n))
+        assert len(laws) == len(divisors(n))
         if n > 1 and all(n % d for d in range(2, n)):
             assert len(laws) == 2  # prime
         listed = [d for _, d in laws]
@@ -123,7 +94,7 @@ def test_criterion_2_stable_enumeration():
             assert is_stable(lut, d, 1e-12)
         # brute-force oracle: all subgroup uniforms with all offsets, plus
         # 1000 random laws; any fixed point must match a listed law
-        for dd in _divisors(n):
+        for dd in divisors(n):
             for off in range(dd):
                 u = Distribution.uniform(n, [(off + j * dd) % n for j in range(n // dd)])
                 if is_stable(lut, u, 1e-12):
@@ -161,7 +132,7 @@ def _doa_sample():
     rng = np.random.default_rng(SEED + 4)
     for n in range(2, 13):
         for _ in range(200):
-            yield n, _random_law(rng, n)
+            yield n, random_law(rng, n)
 
 
 def test_criterion_4_doa_trichotomy():
@@ -173,7 +144,7 @@ def test_criterion_4_doa_trichotomy():
         res = limit(lut, p)
         att = doa_attractor(p)
         # in_doa holds for exactly the attractor's divisor
-        for m in _divisors(n):
+        for m in divisors(n):
             hit = in_doa(p, StableLaw(m, n // m))
             assert hit == (att is not None and att.m == m), (n, p.p, m)
         if res.status == "converged":
@@ -191,7 +162,7 @@ def _id_sample():
     ns = list(range(2, 13))
     for i in range(500):
         n = ns[i % len(ns)]
-        divs = _divisors(n)
+        divs = divisors(n)
         m = divs[i % len(divs)]
         a = int(rng.integers(n))  # all shifts
         jump = np.zeros(n)
@@ -280,7 +251,7 @@ def test_criterion_6_id_oracle_agreement():
     missing = {}  # sample index -> smallest order without a shifted root
     for i in range(100):
         n = 2 + (i % 5)
-        p = _random_law(rng, n)
+        p = random_law(rng, n)
         idm = is_infinitely_divisible(p)
         roots = {k: nth_root_oracle(p, k) for k in (2, 3, 4)}
         if idm and (roots[2] is None or roots[3] is None):
@@ -332,7 +303,7 @@ def _max_doa_sample():
     rng = np.random.default_rng(SEED + 7)
     for n in range(2, 10):
         for _ in range(25):
-            yield n, _random_law(rng, n)
+            yield n, random_law(rng, n)
 
 
 def test_criterion_7_max_case():

@@ -212,6 +212,20 @@ def test_simulate_deterministic_and_compare(tmp_path, capsys, mod2):
     assert len(doc1["exact"]) == 2
 
 
+def test_simulate_compare_exact_rejects_the_table_before_any_trial(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("Monte Carlo run on a table the exact law rejects")
+
+    monkeypatch.setattr(pseudosum, "empirical_fold", fail)
+    bad = write(tmp_path / "bad.json", {"n": 2, "alphabet": [0, 1], "table": [[0, 1], [0, 0]]})
+    d = write(tmp_path / "d.json", {"n": 2, "p": [0.75, 0.25]})
+    code = main(["simulate", "--lut", bad, "--dist", d, "--m", "3", "--trials", "2000000", "--seed", "1",
+                 "--compare-exact"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "pseudosum simulate: table is not associative; powers are ill-defined\n"
+
+
 def test_output_file_and_inputs_unchanged(tmp_path, capsys, mod2):
     d = write(tmp_path / "d.json", {"n": 2, "p": [0.75, 0.25]})
     before = (tmp_path / "d.json").read_bytes(), (tmp_path / "mod2.json").read_bytes()

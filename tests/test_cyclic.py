@@ -38,26 +38,7 @@ from pseudosum import (
 )
 from pseudosum.cyclic import ZERO_EPS
 
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def random_law(rng, n):
-    kind = rng.integers(4)
-    if kind == 0:
-        return Distribution(rng.dirichlet(np.ones(n)))
-    if kind == 1:
-        return Distribution.point_mass(n, int(rng.integers(n)))
-    if kind == 2:
-        d = int(rng.choice(divisors(n)))
-        a = int(rng.integers(n))
-        return Distribution.uniform(n, [(a + j * d) % n for j in range(n // d)])
-    size = int(rng.integers(1, n + 1))
-    support = rng.choice(n, size=size, replace=False)
-    w = np.zeros(n)
-    w[support] = rng.dirichlet(np.ones(size))
-    return Distribution(w)
+from oracles import divisors, random_law
 
 
 def random_id_input(rng, n, s=None, lam=None):

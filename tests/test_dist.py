@@ -23,6 +23,8 @@ from pseudosum import (
     verify_left_subtraction,
 )
 
+from oracles import cyclic_max_product, s3_table
+
 
 def naive_power(lut, p, m):
     out = p
@@ -313,21 +315,6 @@ def _add_at_power(table, p, m):
     return Distribution(acc).p
 
 
-def _s3_table():
-    """The composition table of the symmetric group S_3: not commutative."""
-    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
-    return np.array([[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms])
-
-
-def _relabeled_cyclic_max(k, s):
-    """Z_k x ({0..k-1}, max), element (a, b) at index s[a k + b]."""
-    a, b = np.divmod(np.arange(k * k), k)
-    table = ((a[:, None] + a[None, :]) % k) * k + np.maximum.outer(b, b)
-    out = np.empty_like(table)
-    out[np.ix_(s, s)] = s[table]
-    return out
-
-
 def test_kernel_matches_add_at_bitwise():
     # convolve, power and is_stable push laws through the table with one
     # bincount kernel; it must give the bytes of np.add.at, which adds the
@@ -338,9 +325,9 @@ def test_kernel_matches_add_at_bitwise():
         luts.append(make_cyclic_lut(n, Permutation(rng.permutation(n))))
         luts.append(make_max_lut(n))
     for k in (2, 3, 5):
-        table = _relabeled_cyclic_max(k, rng.permutation(k * k))
+        table = cyclic_max_product(k, k, rng.permutation(k * k))
         luts.append(LutTable(Alphabet.canonical(k * k), table))
-    s3 = _s3_table()
+    s3 = s3_table()
     assert not np.array_equal(s3, s3.T)
     luts.append(LutTable(Alphabet.canonical(6), s3))
     for lut in luts:

@@ -27,16 +27,7 @@ from pseudosum import (
     verify_left_subtraction,
 )
 
-
-def naive_first_assoc_failure(table):
-    """Literal triple loop, the independent oracle for check_associative."""
-    n = len(table)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[i][table[j][k]] != table[table[i][j]][k]:
-                    return (i, j, k)
-    return None
+from oracles import associative_tables, cyclic_max_product, naive_first_assoc_failure, s3_table
 
 
 @pytest.mark.parametrize(
@@ -131,44 +122,53 @@ def test_check_associative_matches_naive_on_random_tables():
             assert check_associative(lut) == naive_first_assoc_failure(table.tolist())
 
 
-def _cyclic_max_product(k, l):
-    """Z_k x ({0..l-1}, max), element (a, b) at index a*l + b: associative."""
-    a, b = np.divmod(np.arange(k * l), l)
-    return ((a[:, None] + a[None, :]) % k) * l + np.maximum.outer(b, b)
+def test_check_associative_matches_naive_on_all_order_3_tables():
+    for cells in itertools.product(range(3), repeat=9):
+        table = [list(cells[0:3]), list(cells[3:6]), list(cells[6:9])]
+        assert check_associative(LutTable(Alphabet.canonical(3), table)) == naive_first_assoc_failure(table)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 5])
-def test_check_associative_blocks_match_naive_on_perturbed_tables(monkeypatch, rows):
+def test_associative_order_4_tables_are_exactly_the_enumerated_ones():
+    # 3492 associative tables of order 4 (OEIS A023814; Forsythe 1955); among
+    # them the 4! relabelings of max_4 and the 4!/2 of Z_4
+    tables = associative_tables(4)
+    assert len(tables) == 3492
+    kinds = {lut_module.MAX: 0, lut_module.CYCLIC: 0, lut_module.RAW: 0}
+    for table in tables:
+        lut = LutTable(Alphabet.canonical(4), table)
+        assert check_associative(lut) is None
+        kinds[lut_module.structure(lut).kind] += 1
+    assert kinds == {lut_module.MAX: 24, lut_module.CYCLIC: 12, lut_module.RAW: 3456}
+
+
+def test_check_associative_rows_match_naive_on_perturbed_tables():
     # Associative tables with one cell changed in the lower-right quadrant
     # can first fail in a late row (the max and product tables do), so the
-    # scan must cross blocks; random tables almost always fail at i = 0.
+    # scan must go past row 0; random tables almost always fail at i = 0.
     rng = np.random.default_rng(57)
     bases = []
     for n in range(5, 17):
         bases.append(make_cyclic_lut(n, Permutation(rng.permutation(n))).table)
         bases.append(make_max_lut(n).table)
     for k, l in ((2, 4), (3, 4), (3, 5), (4, 3), (2, 7)):
-        bases.append(_cyclic_max_product(k, l))
+        bases.append(cyclic_max_product(k, l))
     late = 0
     for base in bases:
         n = len(base)
-        monkeypatch.setattr(lut_module, "_ASSOC_BLOCK", rows * n * n)
         for _ in range(12):
             table = np.array(base)
             r, c = rng.integers(n // 2, n, size=2)
             table[r, c] = (table[r, c] + rng.integers(1, n)) % n
             want = naive_first_assoc_failure(table.tolist())
             assert check_associative(LutTable(Alphabet.canonical(n), table)) == want
-            late += want is not None and want[0] >= rows
+            late += want is not None and want[0] >= 1
     assert late >= 40
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 4])
-def test_check_associative_first_failure_on_block_boundaries(monkeypatch, rows):
+def test_check_associative_first_failure_in_each_row():
     # In max_n with (n-1) (+) (n-1) set to v < n-2, triples with i <= v still
     # hold and the first failure is (v+1, n-1, n-1): v picks the failing row.
     n = 14
-    monkeypatch.setattr(lut_module, "_ASSOC_BLOCK", rows * n * n)
     for v in range(n - 2):
         table = np.array(make_max_lut(n).table)
         table[n - 1, n - 1] = v
@@ -208,17 +208,26 @@ def test_check_associative_memory_is_bounded():
 
 def test_check_associative_memory_at_n256():
     # a relabeled Z_16 x max_16 is associative but neither cyclic nor max, so
-    # every block is scanned; indices re-cast to intp took 512 KiB a block
-    a, b = np.divmod(np.arange(256), 16)
-    op = ((a[:, None] + a) % 16) * 16 + np.maximum.outer(b, b)
+    # every row is scanned; indices re-cast to intp took 512 KiB a row
     s = np.random.default_rng(19).permutation(256)
-    table = np.empty_like(op)
-    table[s[:, None], s] = s[op]
-    lut = LutTable(Alphabet.canonical(256), table)
+    lut = LutTable(Alphabet.canonical(256), cyclic_max_product(16, 16, s))
     got, peak = _traced_peak(check_associative, lut)
     assert lut_module.structure(lut).kind == lut_module.RAW
     assert got is None
     assert peak < 2 * 2**20
+
+
+def test_check_associative_memory_at_n128():
+    # np.take copies a read-only index array such as lut.table, so the scan
+    # must index the table in place: no 8N^2-byte intp copy of it
+    n = 128
+    s = np.random.default_rng(23).permutation(n)
+    lut = LutTable(Alphabet.canonical(n), cyclic_max_product(8, 16, s))
+    assert not lut.table.flags.writeable
+    got, peak = _traced_peak(check_associative, lut)
+    assert lut_module.structure(lut).kind == lut_module.RAW
+    assert got is None
+    assert peak < 8 * n * n
 
 
 def test_structure_agrees_with_checks(monkeypatch):
@@ -272,13 +281,11 @@ def test_structure_matches_brute_force_over_relabelings():
         return out
 
     klein = np.bitwise_xor.outer(np.arange(4), np.arange(4))
-    s3 = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 0, 4, 3, 1],
-          [3, 4, 5, 0, 1, 2], [4, 3, 1, 2, 5, 0], [5, 2, 3, 1, 0, 4]]
     a, b = np.arange(6) % 2, np.arange(6) // 2  # x = 2b + a in Z_2 x Z_3, which is cyclic
     z2z3 = (b[:, None] + b) % 3 * 2 + (a[:, None] + a) % 2
     assert lut_module.structure(LutTable(Alphabet.canonical(6), z2z3)).kind == lut_module.CYCLIC
-    seeds = [klein, np.array(s3), z2z3, _cyclic_max_product(2, 2), _cyclic_max_product(2, 3),
-             _cyclic_max_product(3, 2)]
+    seeds = [klein, s3_table(), z2z3, cyclic_max_product(2, 2), cyclic_max_product(2, 3),
+             cyclic_max_product(3, 2)]
     tables, perturbed = [], []
     for n in range(1, 7):
         idx = np.arange(n)

@@ -17,6 +17,8 @@ from pseudosum import (
     tv_distance,
 )
 
+from oracles import cyclic_max_product, s3_table
+
 
 def test_sim_config_validation():
     SimConfig(seed=1, trials=10, m=1)
@@ -163,14 +165,6 @@ def _ref_fold(lut, p, cfg, workers=1):
     return Distribution(counts / cfg.trials)
 
 
-def _s3_lut():
-    """The composition table of the symmetric group S_3: associative, not
-    commutative, and built raw (no structure marks)."""
-    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
-    table = [[perms.index(tuple(a[b[k]] for k in range(3))) for b in perms] for a in perms]
-    return LutTable(Alphabet.canonical(6), np.array(table))
-
-
 def test_reference_uniforms_are_splitmix64():
     # published SplitMix64 outputs for seed 0, reduced to 53 bits
     want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -191,7 +185,8 @@ def test_blocked_fold_matches_all_at_once_kernel():
         q[n // 2] = 0.0
         q[-1] += 1e-3
         laws.append(Distribution(q / q.sum()))
-    cases = [(make_mod_lut(8), laws[0]), (make_max_lut(16), laws[1]), (_s3_lut(), laws[2])]
+    s3 = LutTable(Alphabet.canonical(6), s3_table())
+    cases = [(make_mod_lut(8), laws[0]), (make_max_lut(16), laws[1]), (s3, laws[2])]
     # max built raw, which the fold must recognize, and max with the entry
     # its law hits most often changed, which must take the generic path
     i = np.arange(16)
@@ -204,11 +199,7 @@ def test_blocked_fold_matches_all_at_once_kernel():
     cases += [(raw_max, laws[1]), (near_max, laws[1])]
     # Z_5 x max_5 through a random relabeling (N = 25, neither cyclic nor
     # max), and a law whose first mass is zero, so its first threshold is 0
-    a, b = np.divmod(np.arange(25), 5)
-    product = ((a[:, None] + a[None, :]) % 5) * 5 + np.maximum.outer(b, b)
-    sigma = rng.permutation(25)
-    relabeled = np.empty_like(product)
-    relabeled[np.ix_(sigma, sigma)] = sigma[product]
+    relabeled = cyclic_max_product(5, 5, rng.permutation(25))
     q = rng.dirichlet(np.full(25, 0.3))
     q[0] = 0.0
     cases += [(LutTable(Alphabet.canonical(25), relabeled), Distribution(rng.dirichlet(np.full(25, 0.5)))),
