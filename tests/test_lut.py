@@ -141,10 +141,13 @@ def test_associative_order_4_tables_are_exactly_the_enumerated_ones():
     assert kinds == {lut_module.MAX: 24, lut_module.CYCLIC: 12, lut_module.RAW: 3456}
 
 
-def test_check_associative_rows_match_naive_on_perturbed_tables():
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_check_associative_blocks_match_naive_on_perturbed_tables(rows):
     # Associative tables with one cell changed in the lower-right quadrant
     # can first fail in a late row (the max and product tables do), so the
     # scan must go past row 0; random tables almost always fail at i = 0.
+    # The scan has no row blocks any more: rows is the row at or past which
+    # at least 40 first failures must lie.
     rng = np.random.default_rng(57)
     bases = []
     for n in range(5, 17):
@@ -161,14 +164,16 @@ def test_check_associative_rows_match_naive_on_perturbed_tables():
             table[r, c] = (table[r, c] + rng.integers(1, n)) % n
             want = naive_first_assoc_failure(table.tolist())
             assert check_associative(LutTable(Alphabet.canonical(n), table)) == want
-            late += want is not None and want[0] >= 1
+            late += want is not None and want[0] >= rows
     assert late >= 40
 
 
-def test_check_associative_first_failure_in_each_row():
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_check_associative_first_failure_on_block_boundaries(rows):
     # In max_n with (n-1) (+) (n-1) set to v < n-2, triples with i <= v still
     # hold and the first failure is (v+1, n-1, n-1): v picks the failing row.
-    n = 14
+    # The scan has no row blocks any more: rows sets the order, n = 14..26.
+    n = 10 + 4 * rows
     for v in range(n - 2):
         table = np.array(make_max_lut(n).table)
         table[n - 1, n - 1] = v
