@@ -110,6 +110,8 @@ def _add_table_args(sub) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Each subparser carries its handler,
+    which main calls as args.handler(args), so a subcommand is named once."""
     parser = argparse.ArgumentParser(
         prog="pseudosum",
         description="Pseudo-summation on finite alphabets: tables, exact "
@@ -118,60 +120,61 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("check", help="algebraic properties of a table")
+    sub.set_defaults(handler=_cmd_check)
     _add_table_args(sub)
-    sub.add_argument("--out")
 
     sub = subs.add_parser("convolve", help="law of X (+) Y from two distribution files")
+    sub.set_defaults(handler=_cmd_convolve)
     _add_table_args(sub)
     sub.add_argument("dists", nargs=2, metavar="DIST")
-    sub.add_argument("--out")
 
     sub = subs.add_parser("power", help="law of the m-fold pseudo-sum")
+    sub.set_defaults(handler=_cmd_power)
     _add_table_args(sub)
     sub.add_argument("dist", metavar="DIST")
     sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--out")
 
     sub = subs.add_parser("limit", help="limit of fold powers by doubling")
+    sub.set_defaults(handler=_cmd_limit)
     _add_table_args(sub)
     sub.add_argument("--dist", required=True)
     sub.add_argument("--tol", type=float)  # None: dist.FIXED_POINT_TOL
     sub.add_argument("--max-doublings", type=int, default=64)
-    sub.add_argument("--out")
 
     sub = subs.add_parser("stable", help="enumerate stable laws of the cyclic table")
+    sub.set_defaults(handler=_cmd_stable)
     sub.add_argument("--enumerate", type=int, required=True, metavar="N")
     sub.add_argument("--perm", help="permutation JSON file")
-    sub.add_argument("--out")
 
     sub = subs.add_parser("doa", help="domain-of-attraction test (cyclic table)")
+    sub.set_defaults(handler=_cmd_doa)
     sub.add_argument("--dist", required=True)
     sub.add_argument("--target", type=int, help="divisor M of the target stable law")
     sub.add_argument("--perm")
-    sub.add_argument("--out")
 
     sub = subs.add_parser("id", help="infinite divisibility (cyclic table)")
+    sub.set_defaults(handler=_cmd_id)
     sub.add_argument("--dist", required=True)
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--decompose", action="store_true")
     mode.add_argument("--check", action="store_true")
     sub.add_argument("--perm")
     sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--out")
 
     sub = subs.add_parser("spectrum", help="characteristic values of a law")
+    sub.set_defaults(handler=_cmd_spectrum)
     sub.add_argument("--dist", required=True)
     sub.add_argument("--perm")
-    sub.add_argument("--out")
 
     sub = subs.add_parser("max", help="max-table operations")
+    sub.set_defaults(handler=_cmd_max)
     mode = sub.add_mutually_exclusive_group(required=True)
     mode.add_argument("--convolve", nargs=2, metavar=("P", "Q"))
     mode.add_argument("--root", nargs=2, metavar=("N", "DIST"))
     mode.add_argument("--doa", nargs=2, metavar=("X", "DIST"))
-    sub.add_argument("--out")
 
     sub = subs.add_parser("simulate", help="seeded Monte Carlo of the m-fold sum")
+    sub.set_defaults(handler=_cmd_simulate)
     _add_table_args(sub)
     sub.add_argument("--dist", required=True)
     sub.add_argument("--m", type=int, required=True)
@@ -180,8 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--workers", type=int, default=1,
                      help="must be >= 1; changes neither the result nor the work")
     sub.add_argument("--compare-exact", action="store_true")
-    sub.add_argument("--out")
 
+    for sub in subs.choices.values():  # last, so it ends every help listing
+        sub.add_argument("--out")
     return parser
 
 
@@ -289,20 +293,6 @@ def _cmd_simulate(args) -> dict:
     return doc
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "convolve": _cmd_convolve,
-    "power": _cmd_power,
-    "limit": _cmd_limit,
-    "stable": _cmd_stable,
-    "doa": _cmd_doa,
-    "id": _cmd_id,
-    "spectrum": _cmd_spectrum,
-    "max": _cmd_max,
-    "simulate": _cmd_simulate,
-}
-
-
 def _fail(command: str, kind: str, exc: BaseException) -> int:
     """Print `kind: exc` as one line on stderr and return exit code 1."""
     detail = " ".join(str(exc).split())
@@ -318,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        _emit(_COMMANDS[args.command](args), getattr(args, "out", None))
+        _emit(args.handler(args), args.out)
     except (ValidityError, OSError) as exc:
         return _fail(args.command, "", exc)
     except MemoryError as exc:

@@ -77,7 +77,10 @@ def max_nth_root(p: Distribution, n_parts: int) -> Distribution:
     """The law whose n_parts-fold max equals p: CDF raised to 1/n_parts.
 
     Always exists (every law is infinitely divisible under max); zero CDF
-    entries stay zero.
+    entries stay zero.  The exponent is an int division, which rounds once
+    and reaches 0.0 past the float range: the point mass at the lowest
+    index of positive mass.
     """
     n_parts = as_int(n_parts, "n_parts", 1)
-    return Cdf(np.cumsum(p.p) ** (1.0 / n_parts)).to_distribution()
+    F = np.cumsum(p.p)
+    return Cdf(np.where(F > 0.0, F ** (1 / n_parts), 0.0)).to_distribution()

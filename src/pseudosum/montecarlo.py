@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import Distribution
-from .lut import MAX, LutTable, as_int, same_n, structure
+from .lut import MAX, LutTable, as_int, as_real, same_n, structure
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -187,9 +187,10 @@ class _InverseCdf:
 def sample_index(p: Distribution, u: float) -> int:
     """Inverse-CDF draw: the smallest k whose cumulative mass exceeds u,
     capped at the last index of positive mass."""
-    if not 0.0 <= u < 1.0:
+    x = as_real(u, "u")
+    if not x < 1.0:
         raise ValidityError(f"u must lie in [0, 1), got {u!r}")
-    return int(np.searchsorted(_capped_cdf(p.p), u, side="right"))
+    return int(np.searchsorted(_capped_cdf(p.p), x, side="right"))
 
 
 def _compact(keep: np.ndarray, spare: np.ndarray, arrays) -> None:

@@ -1,6 +1,8 @@
 """Independent oracles and fixtures shared by the test modules: literal loops
 and small builders that the library's fast paths are checked against."""
 
+import functools
+
 import numpy as np
 
 from pseudosum import Distribution
@@ -17,11 +19,13 @@ def naive_first_assoc_failure(table):
     return None
 
 
+@functools.cache
 def associative_tables(n):
     """Every associative n x n table over 0..n-1, as nested lists, found by
     backtracking: cells are filled in row-major order, and each triple
     (i, j, k) is checked once, when the last of its four cells t[i][j],
-    t[j][k], t[i][t[j][k]] and t[t[i][j]][k] is filled."""
+    t[j][k], t[i][t[j][k]] and t[t[i][j]][k] is filled.  Cached, so callers
+    must not change the lists."""
     t = [[0] * n for _ in range(n)]
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     out = []
@@ -49,6 +53,22 @@ def associative_tables(n):
 
     fill(0)
     return out
+
+
+def brute_force_fold_law(table, p, m):
+    """Law of the left fold x_1 (+) ... (+) x_m of i.i.d. draws from p, summed
+    over all N^m draw sequences; m = 0 is the point mass at the table's
+    identity, found by a literal search."""
+    n = len(table)
+    if m == 0:
+        e = next(e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n)))
+        return np.eye(n)[e]
+    t = np.asarray(table)
+    seqs = np.indices((n,) * m).reshape(m, -1)
+    acc = seqs[0]
+    for step in seqs[1:]:
+        acc = t[acc, step]
+    return np.bincount(acc, weights=np.prod(np.asarray(p)[seqs], axis=0), minlength=n)
 
 
 def divisors(n):

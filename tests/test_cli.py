@@ -61,6 +61,21 @@ def test_public_names_are_pinned():
     assert set(pseudosum.__all__) | set(pseudosum._EXPORTS) <= set(dir(pseudosum))
 
 
+def test_readme_cli_lines_parse():
+    # every command line of README's CLI block, its optional parts included,
+    # parses, and together the lines reach every subcommand's handler
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pseudosum ")]
+    parser = cli._build_parser()
+    handlers = set()
+    for line in lines:
+        args = parser.parse_args(line.replace("[", "").replace("]", "").split()[1:])
+        handlers.add(args.handler)
+    assert handlers == {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
+
+
 def test_check_mod6(tmp_path, capsys):
     path = write(tmp_path / "mod6.json", make_mod_lut(6).to_json())
     code, doc = run(capsys, ["check", "--lut", path])
@@ -196,6 +211,9 @@ def test_max_commands(tmp_path, capsys):
     assert code == 0 and doc["p"] == [0.5, 0.5]
     code, doc = run(capsys, ["max", "--doa", "1", p])
     assert code == 0 and doc["in_doa"] is True
+    # an order beyond the float range used to exit 1 with an internal error
+    code, doc = run(capsys, ["max", "--root", "1" + "0" * 400, q])
+    assert code == 0 and doc["p"] == [1.0, 0.0]
 
 
 def test_simulate_deterministic_and_compare(tmp_path, capsys, mod2):
@@ -281,7 +299,7 @@ def test_resource_and_internal_errors_exit_1_with_one_line(monkeypatch, capsys, 
     def fail(args):
         raise exc
 
-    monkeypatch.setitem(cli._COMMANDS, "power", fail)
+    monkeypatch.setattr(cli, "_cmd_power", fail)
     assert main(["power", "--gen", "mod2", "p.json", "--m", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,6 +12,7 @@ from pseudosum import (
     ValidityError,
     convolve,
     degenerate_doa_necessary,
+    find_identity,
     is_stable,
     limit,
     make_cyclic_lut,
@@ -23,7 +24,7 @@ from pseudosum import (
     verify_left_subtraction,
 )
 
-from oracles import cyclic_max_product, s3_table
+from oracles import associative_tables, brute_force_fold_law, cyclic_max_product, s3_table
 
 
 def naive_power(lut, p, m):
@@ -119,6 +120,29 @@ def test_power_matches_naive_convolves():
             p = Distribution(rng.dirichlet(np.ones(lut.n)))
             for m in (2, 3, 7, 16):
                 assert tv_distance(power(lut, p, m), naive_power(lut, p, m)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, orders", [(1, range(1, 6)), (2, range(1, 6)), (3, range(1, 6)), (4, (2, 3))])
+def test_power_matches_every_draw_sequence_on_every_associative_table(n, orders):
+    # every associative table of order n, under a Dirichlet law and one with
+    # a zero mass, against the sum over all N^m draw sequences; m = 0 on
+    # the tables with an identity
+    rng = np.random.default_rng(40 + n)
+    worst = 0.0
+    for table in associative_tables(n):
+        lut = LutTable(Alphabet.canonical(n), table)
+        w = rng.dirichlet(np.ones(n))
+        laws = [Distribution(w)]
+        if n > 1:
+            w[rng.integers(n)] = 0.0
+            laws.append(Distribution(w / w.sum()))
+        for p in laws:
+            for m in orders:
+                want = Distribution(brute_force_fold_law(table, p.p, m))
+                worst = max(worst, tv_distance(power(lut, p, m), want))
+        if find_identity(lut) is not None:
+            assert power(lut, laws[0], 0).p.tolist() == brute_force_fold_law(table, laws[0].p, 0).tolist()
+    assert worst <= 1e-12
 
 
 def test_power_m_zero_and_non_associative():

@@ -147,6 +147,11 @@ def test_max_nth_root_examples_and_roundtrip():
 def test_max_nth_root_zero_cdf_entries():
     p = Distribution([0.0, 0.0, 1.0])
     assert max_nth_root(p, 3).p.tolist() == [0, 0, 1]
+    # an order beyond the float range, like 10**300, gives the point mass at
+    # the lowest index of positive mass: zero CDF entries stay zero although
+    # the exponent is 0.0
+    p = Distribution([0.0, 0.25, 0.75])
+    assert max_nth_root(p, 10**400).p.tolist() == max_nth_root(p, 10**300).p.tolist() == [0, 1, 0]
 
 
 def test_max_convolve_stochastically_dominates():

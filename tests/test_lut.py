@@ -614,6 +614,7 @@ REAL_ARGUMENTS = {
     "decompose_id": (lambda v: ps.decompose_id(ps.construct_id(ps.IdDecomposition(1, 3, 0.5, P6)), tol=v), 1e-9),
     "is_infinitely_divisible": (lambda v: ps.is_infinitely_divisible(P6, tol=v), 1e-9),
     "IdDecomposition lam": (lambda v: ps.IdDecomposition(a=1, m=3, lam=v, jump=P6), 0.5),
+    "sample_index": (lambda v: ps.sample_index(P4, v), 0.5),
 }
 
 
