@@ -48,7 +48,7 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, and an int past the digit limit
         raise ValidityError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -13,16 +13,18 @@ laws factor as shift (+) subgroup-uniform (+) compound Poisson.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidityError
 from .dist import SUM_TOL, Distribution, convolve, power, tv_distance
-from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, as_real, json_fields, same_n
+from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, as_real, json_fields, same_n, shown
 
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
+_BRANCH_NODES = 2**17  # decompose_id's bound on the branch prefixes it visits, over all shifts
 
 
 class Permutation:
@@ -122,7 +124,7 @@ class IdDecomposition:
         object.__setattr__(self, "lam", as_real(self.lam, "lam"))
         object.__setattr__(self, "m", as_int(self.m, "m", 1))
         if n % self.m != 0:
-            raise ValidityError(f"m={self.m} must divide n={n}")
+            raise ValidityError(f"m={shown(self.m)} must divide n={n}")
         object.__setattr__(self, "a", as_index(self.a, n, "a"))
 
 
@@ -270,7 +272,7 @@ def construct_id(d: IdDecomposition, s: Permutation | None = None) -> Distributi
 
 
 def _odd_part_search(
-    y: np.ndarray, budget: float, S: np.ndarray, rest: np.ndarray, bound: np.ndarray
+    y: np.ndarray, budget: float, S: np.ndarray, rest: np.ndarray, bound: np.ndarray, nodes: Iterator[int]
 ) -> np.ndarray | None:
     """S x for the first x = y + 2 pi w (w integer) found depth-first with
     sum(x^2) <= budget and |S x| <= bound, or None.  Each depth takes the w
@@ -278,12 +280,15 @@ def _odd_part_search(
     first (Fincke & Pohst, Math. Comp. 44, 1985), and drops a prefix whose
     S x the rest of x cannot bring back within the bound: by Cauchy-Schwarz,
     x after depth v moves (S x)_k by at most rest[v, k] = |S[k, v+1:]| times
-    sqrt(budget left).
+    sqrt(budget left).  Each prefix visited takes one item of the iterator
+    nodes, shared by the caller's searches; ValidityError when it runs out.
     """
     half = y.size
     tail = np.append(np.cumsum(y[::-1] ** 2)[::-1], 0.0)
     stack = [(0, budget, np.zeros(half))]
     while stack:
+        if next(nodes, None) is None:
+            raise ValidityError(f"decomposition search too large: over {_BRANCH_NODES} branch prefixes")
         v, left, Sx = stack.pop()
         if v == half:
             return Sx
@@ -312,9 +317,13 @@ def decompose_id(
     |o_k| <= e_k + tol', so by Parseval
     sum_u (Im psi(u))^2 <= m sum_k (e_k + tol')^2; for each shift the 2 pi
     log branches inside that ball are searched depth-first, pruned on the
-    odd-part bound (exact, no cap).  The canonical form has the jump law on the relabeled residues
-    1..m-1, jump mass at 0 folded out of the intensity, and the shift
-    reduced modulo m; it must reproduce p within 1e-7 TV.
+    odd-part bound, with no approximation.  The canonical form has the jump
+    law on the relabeled residues 1..m-1, jump mass at 0 folded out of the
+    intensity, and the shift reduced modulo m; it must reproduce p within
+    1e-7 TV.  Raises ValidityError when the search visits more than 2^17
+    branch prefixes over all shifts (a few seconds): a law whose smallest
+    subgroup spectrum value lies just above ZERO_EPS has a Parseval ball
+    holding millions of them.
     """
     tol, n = as_real(tol, "tol"), p.n
     s = _ident(s, n)
@@ -345,11 +354,12 @@ def decompose_id(
     rest = np.sqrt(np.cumsum(sq, axis=1)[:, ::-1]).T  # rest[v, k] = |S[k, v+1:]|
     budget = 0.5 * m * float(np.sum((e + tol_c) ** 2))
     bound = 0.5 * m * (e[:half] + tol_c)
+    nodes = iter(range(_BRANCH_NODES))
     for a_rel in range(m):
         phase = np.angle(g * np.exp(-2j * np.pi * a_rel * u / m))
         if m % 2 == 0 and abs(phase[m // 2]) > 1e-7:
             continue  # the half-frequency value must be real positive
-        Sx = _odd_part_search(phase[1 : half + 1], budget, S, rest, bound)
+        Sx = _odd_part_search(phase[1 : half + 1], budget, S, rest, bound, nodes)
         if Sx is not None:
             break
     else:
@@ -377,8 +387,9 @@ def is_infinitely_divisible(
 ) -> bool:
     """True when p factors as shift (+) subgroup-uniform (+) compound
     Poisson, decided by decompose_id's exact search (a spectrum value at or
-    below ZERO_EPS counts as a zero).  Such laws have shifted fold roots of
-    every order.  Roots at a few small orders do not imply a factorization:
+    below ZERO_EPS counts as a zero); raises its ValidityError when the
+    search passes its bound.  Such laws have shifted fold roots of every
+    order.  Roots at a few small orders do not imply a factorization:
     some laws this rejects have roots of orders 2..16 but none of order 17.
     That roots at every order imply one is the classical result that
     infinitely divisible laws on a finite abelian group are shift x
@@ -403,7 +414,7 @@ def nth_root_oracle(
     candidates and the N^2 verifying table, exceeds 2^20."""
     n, n_parts = p.n, as_int(n_parts, "n_parts", 1)
     if (n // 2) * math.log2(n_parts) + 2 * math.log2(n) > math.log2(_ROOT_CELLS):
-        raise ValidityError(f"root search too large: {n_parts}^{n // 2} * {n}^2 > {_ROOT_CELLS}")
+        raise ValidityError(f"root search too large: {shown(n_parts)}^{n // 2} * {n}^2 > {_ROOT_CELLS}")
     s = _ident(s, n)
     f = _relabeled_spectrum(p, s)
     lut = make_cyclic_lut(n, s)

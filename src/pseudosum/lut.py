@@ -73,6 +73,18 @@ def json_fields(doc, what: str, *names: str) -> tuple:
         raise ValidityError(f"{what} document missing field: {exc}") from exc
 
 
+def shown(value) -> str:
+    """repr(value) for a message; an int past CPython's int-to-str digit
+    limit (4300 digits by default), which repr refuses, is shown by its sign
+    and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"{'-' if value < 0 else ''}<{int(value).bit_length()}-bit int>"
+        return f"<{type(value).__name__} too long to print>"
+
+
 def as_int(value, name: str, low: int | None = None) -> int:
     """value, a Python or numpy integer, as a Python int, checked to be at
     least low when low is given.  A bool, float (even 2.0) or string is a
@@ -83,9 +95,9 @@ def as_int(value, name: str, low: int | None = None) -> int:
             raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise ValidityError(f"{name} must be an integer, got {value!r}") from None
+        raise ValidityError(f"{name} must be an integer, got {shown(value)}") from None
     if low is not None and value < low:
-        raise ValidityError(f"{name} must be >= {low}, got {value}")
+        raise ValidityError(f"{name} must be >= {low}, got {shown(value)}")
     return value
 
 
@@ -94,13 +106,13 @@ def as_real(value, name: str, positive: bool = False) -> float:
     >= 0, or > 0 when positive.  A bool, string or complex raises
     ValidityError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is not Real
-        raise ValidityError(f"{name} must be a real number, got {value!r}")
+        raise ValidityError(f"{name} must be a real number, got {shown(value)}")
     try:
         x = float(value)
     except OverflowError:  # a Python int beyond the float range
         x = math.inf
     if not ((x > 0 if positive else x >= 0) and x < math.inf):  # NaN fails both
-        raise ValidityError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+        raise ValidityError(f"{name} must be finite and {'>' if positive else '>='} 0, got {shown(value)}")
     return x
 
 
@@ -108,7 +120,7 @@ def as_index(value, n: int, name: str) -> int:
     """as_int(value), checked to lie in [0, n)."""
     k = as_int(value, name)
     if not 0 <= k < n:
-        raise ValidityError(f"{name} must lie in [0, {n}), got {k}")
+        raise ValidityError(f"{name} must lie in [0, {n}), got {shown(k)}")
     return k
 
 
@@ -118,7 +130,7 @@ def index_set(values, n: int, name: str) -> np.ndarray:
     try:
         idx = sorted({as_index(v, n, f"{name} entry") for v in values})
     except TypeError:  # values is not iterable
-        raise ValidityError(f"{name} must be a collection of indices, got {values!r}") from None
+        raise ValidityError(f"{name} must be a collection of indices, got {shown(values)}") from None
     if not idx:
         raise ValidityError(f"{name} must not be empty")
     return np.array(idx, dtype=np.intp)
@@ -206,18 +218,20 @@ def apply(lut: LutTable, i: int, j: int) -> int:
     return int(lut.table[as_index(i, lut.n, "i"), as_index(j, lut.n, "j")])
 
 
-Structure = NamedTuple("Structure", [("kind", str), ("order", "np.ndarray | None"), ("commutative", bool)])
+Structure = NamedTuple("Structure", [("kind", str), ("labels", "np.ndarray | None"), ("commutative", bool)])
 
 
 def structure(lut: LutTable) -> Structure:
     """The table's kind, read off its entries once, in O(N^2) time and O(N)
-    memory beyond one N^2 boolean.  MAX: table[x, y] is order[max(r[x], r[y])]
-    with rank r[x] = #{y : x (+) y = x} - 1; every element is idempotent.
-    CYCLIC: table[x, y] is inv[(order[x] + order[y]) % N], inv the inverse of
-    order; e, the one idempotent, is a two-sided identity, N/2 - 1 gathers
-    step the powers of all g at once to the first g with no g^k = e, k <= N/2
-    (in Z_N a generator, which serves), and order[g^k] = k.  Both kinds are
-    associative and commutative.  RAW: any other table, order None."""
+    memory beyond one N^2 boolean.  Both recognized kinds relabel a classical
+    operation op: table[x, y] is inv[op(labels[x], labels[y])], inv the
+    inverse of labels, and both are associative and commutative.  MAX: op is
+    max, and labels[x] = #{y : x (+) y = x} - 1 is x's rank in the chain;
+    every element is idempotent.  CYCLIC: op is addition mod N, and labels[x]
+    is x's residue; e, the one idempotent, is a two-sided identity, N/2 - 1
+    gathers step the powers of all g at once to the first g with no g^k = e,
+    k <= N/2 (in Z_N a generator, which serves), and labels[g^k] = k.  RAW:
+    any other table, labels None."""
     if lut._structure is not None:
         return lut._structure
     # candidate labels lab, then one check, row by row, that lab relabels the
@@ -225,7 +239,7 @@ def structure(lut: LutTable) -> Structure:
     t, n = lut.table, lut.n
     idx = np.arange(n)
     idem = np.flatnonzero(np.diagonal(t) == idx)
-    kind, order = RAW, None
+    kind, labels = RAW, None
     if idem.size == n:
         kind, lab, op, copies = MAX, np.count_nonzero(t == idx[:, None], axis=1) - 1, np.maximum, 1
     elif idem.size == 1 and find_identity(lut) is not None:
@@ -242,10 +256,10 @@ def structure(lut: LutTable) -> Structure:
     if kind != RAW:
         look = np.tile(np.argsort(lab), copies)
         if np.array_equal(lab[look[:n]], idx) and all((row == look[op(v, lab)]).all() for row, v in zip(t, lab)):
-            order = look[:n] if kind == MAX else lab
-            order.setflags(write=False)
-    commutative = order is not None or check_commutative(lut) is None
-    lut._structure = Structure(kind if order is not None else RAW, order, commutative)
+            labels = lab
+            labels.setflags(write=False)
+    commutative = labels is not None or check_commutative(lut) is None
+    lut._structure = Structure(kind if labels is not None else RAW, labels, commutative)
     return lut._structure
 
 

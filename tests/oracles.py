@@ -92,6 +92,12 @@ def random_law(rng, n):
     return Distribution(w)
 
 
+def near_uniform_law(n, seed, eps):
+    """The uniform law on n points plus uniform noise of size eps, normalized."""
+    q = 1 / n + np.random.default_rng(seed).uniform(0, eps, n)
+    return Distribution(q / q.sum())
+
+
 def s3_table():
     """The composition table of the symmetric group S_3: associative, not
     commutative."""

@@ -14,6 +14,8 @@ from pseudosum import make_mod_lut
 from pseudosum import cli
 from pseudosum.cli import main
 
+from oracles import near_uniform_law
+
 
 def write(path, doc):
     """doc written as JSON, or as it is if it is bytes."""
@@ -192,6 +194,18 @@ def test_id_command(tmp_path, capsys):
     assert code == 0 and doc["decomposition"] is None
 
 
+def test_id_command_stops_at_the_search_bound(tmp_path, capsys, monkeypatch):
+    # a law whose decomposition search passes its bound exits 1 with one line
+    monkeypatch.setattr("pseudosum.cyclic._BRANCH_NODES", 2**12)
+    d = write(tmp_path / "d.json", near_uniform_law(56, 0, 3e-9).to_json())
+    for flag in ("--check", "--decompose"):
+        assert main(["id", "--dist", d, flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pseudosum id: decomposition search too large")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_spectrum_command_12_digits(tmp_path, capsys):
     d = write(tmp_path / "d.json", {"n": 3, "p": [0.0, 0.5, 0.5]})
     code, doc = run(capsys, ["spectrum", "--dist", d])
@@ -367,6 +381,8 @@ SIZES = "permutation size 3 does not match n=2"
         ({"d": HALF, "s": "s"}, ["spectrum", "--dist", "{d}", "--perm", "{s}"],
          "permutation document must be a JSON object"),
         ({"d": {"n": 2}}, ["spectrum", "--dist", "{d}"], "distribution document missing field: 'p'"),
+        # an integer past Python's int-to-str digit limit used to be an internal error
+        ({"d": b'{"n": ' + b"1" * 5000 + b', "p": [1.0]}'}, ["max", "--convolve", "{d}", "{d}"], "not valid JSON"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):

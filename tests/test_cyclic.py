@@ -38,7 +38,7 @@ from pseudosum import (
 )
 from pseudosum.cyclic import ZERO_EPS
 
-from oracles import divisors, random_law
+from oracles import divisors, near_uniform_law, random_law
 
 
 def random_id_input(rng, n, s=None, lam=None):
@@ -388,6 +388,11 @@ def test_decompose_id_uniform_and_non_id():
     assert du.a == 0 and du.m == 1 and du.lam == 0.0
     assert du.jump.p.tolist() == [1, 0, 0, 0, 0]
     assert decompose_id(Distribution([0, 0.5, 0.5])) is None
+    # spectrum moduli 1, .3, 0, 0, 0, .3: the nonzero set {0, 1, 5} has the
+    # size of a subgroup of Z_6 but is not the subgroup {0, 2, 4}
+    zero_set_not_a_subgroup = Distribution((1 + 0.6 * np.cos(2 * np.pi * np.arange(6) / 6)) / 6)
+    assert decompose_id(zero_set_not_a_subgroup) is None
+    assert not is_infinitely_divisible(zero_set_not_a_subgroup)
     # a near-uniform law at N = 60 and a random one at N = 360: both have a
     # negative even part of the log-spectrum
     rng = np.random.default_rng(83)
@@ -441,6 +446,18 @@ def test_decompose_id_allows_for_rounding_near_zero_eps():
             if found:
                 assert dc.m == n and dc.a == 0
                 assert abs(dc.lam - lam) <= 1e-6
+
+
+def test_decompose_id_search_has_a_bound(monkeypatch):
+    # the smallest subgroup spectrum value of this law is a few 1e-9, just
+    # above ZERO_EPS, so its Parseval ball holds millions of branch vectors,
+    # more than 20 s of search without the bound
+    p = near_uniform_law(56, 0, 3e-9)
+    with pytest.raises(ValidityError, match="decomposition search too large"):
+        decompose_id(p)
+    monkeypatch.setattr("pseudosum.cyclic._BRANCH_NODES", 2**12)
+    with pytest.raises(ValidityError, match=f"over {2**12} branch prefixes"):
+        is_infinitely_divisible(p)
 
 
 def test_is_infinitely_divisible_examples():

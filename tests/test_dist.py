@@ -46,6 +46,8 @@ def test_distribution_construction():
         Distribution([-0.1, 1.1])
     with pytest.raises(ValidityError):
         Distribution([])
+    with pytest.raises(ValidityError, match="support must be a collection of indices, got 5"):
+        Distribution.uniform(3, support=5)
     # a NaN sums to NaN, and abs(NaN - 1) > tol is False
     for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, 0.5, -np.inf]):
         with pytest.raises(ValidityError, match="finite"):

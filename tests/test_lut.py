@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -245,10 +246,10 @@ def test_structure_agrees_with_checks(monkeypatch):
         st = lut_module.structure(lut)
         if st.kind == lut_module.MAX:
             assert lut.n == 1 or np.array_equal(lut.table, make_max_lut(lut.n).table)
-            assert np.array_equal(st.order, np.arange(lut.n))
+            assert np.array_equal(st.labels, np.arange(lut.n))
         else:
             assert st.kind == lut_module.CYCLIC
-            assert np.array_equal(make_cyclic_lut(lut.n, Permutation(st.order)).table, lut.table)
+            assert np.array_equal(make_cyclic_lut(lut.n, Permutation(st.labels)).table, lut.table)
         assert st.commutative
         assert lut_module._scan_associative(lut.table) is None
         assert check_commutative(lut) is None
@@ -322,7 +323,7 @@ def test_structure_matches_brute_force_over_relabelings():
             recognized += 1
             assert naive_first_assoc_failure(table.tolist()) is None
             assert np.array_equal(table, table.T) and st.commutative
-            lab = np.argsort(st.order) if st.kind == lut_module.MAX else st.order
+            lab = st.labels
             op = np.maximum if st.kind == lut_module.MAX else lambda a, b: (a + b) % len(table)
             assert np.array_equal(np.argsort(lab)[op(lab[:, None], lab)], table)
         else:
@@ -565,9 +566,27 @@ def test_integer_arguments_take_any_integer_and_nothing_else(name):
     # the pickle holds the types too: a numpy integer must not leak into a result
     got = {pickle.dumps(call(v)) for v in (good, np.int64(good), np.uint64(good))}
     assert len(got) == 1
-    for bad in (2.5, np.float64(2.0), True, np.True_, "2") + ((out_of_range,) if out_of_range is not None else ()):
+    # a 5000-digit integer is past Python's int-to-str digit limit: its message must not print it
+    huge = (out_of_range, 10**5000 if out_of_range > good else -(10**5000)) if out_of_range is not None else ()
+    for bad in (2.5, np.float64(2.0), True, np.True_, "2") + huge:
         with pytest.raises(ValidityError):
             call(bad)
+
+
+def test_messages_show_integers_past_the_digit_limit_by_size():
+    # repr refuses an int of more than 4300 digits; a message shows its size
+    huge = 10**5000
+    assert lut_module.shown(3) == "3" and lut_module.shown("2") == "'2'"
+    assert lut_module.shown(huge) == "<16610-bit int>" and lut_module.shown(-huge) == "-<16610-bit int>"
+    assert lut_module.shown(np.array([huge], dtype=object)) == "<ndarray too long to print>"
+    for call, message in (
+        (lambda: ps.IdDecomposition(a=1, m=huge, lam=0.5, jump=P6), "m=<16610-bit int> must divide n=6"),
+        (lambda: ps.nth_root_oracle(P4, huge), "root search too large: <16610-bit int>^2"),
+        (lambda: Distribution.uniform(3, support=np.array(huge, dtype=object)), "got <ndarray too long to print>"),
+        (lambda: ps.sample_index(P4, np.array([huge], dtype=object)), "got <ndarray too long to print>"),
+    ):
+        with pytest.raises(ValidityError, match=re.escape(message)):
+            call()
 
 
 # (entry point, a valid array argument as a nested list); each call puts its
@@ -623,6 +642,6 @@ def test_real_arguments_take_finite_reals_only(name):
     call, good = REAL_ARGUMENTS[name]
     # the pickle holds the types too: a numpy float must not leak into a result
     assert pickle.dumps(call(good)) == pickle.dumps(call(np.float64(good)))
-    for bad in (np.nan, np.inf, -1, True, "0.5"):
+    for bad in (np.nan, np.inf, -1, True, "0.5", 10**5000, -(10**5000)):
         with pytest.raises(ValidityError):
             call(bad)
