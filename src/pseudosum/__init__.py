@@ -18,6 +18,7 @@ _EXPORTS = {
     "lut": (
         "Alphabet",
         "LutTable",
+        "Permutation",
         "apply",
         "check_associative",
         "check_commutative",
@@ -25,6 +26,9 @@ _EXPORTS = {
         "find_idempotents",
         "find_identity",
         "is_associative",
+        "make_cyclic_lut",
+        "make_max_lut",
+        "make_mod_lut",
         "verify_left_subtraction",
     ),
     "dist": (
@@ -41,7 +45,6 @@ _EXPORTS = {
     ),
     "cyclic": (
         "IdDecomposition",
-        "Permutation",
         "Spectrum",
         "StableLaw",
         "classify_stable",
@@ -52,8 +55,6 @@ _EXPORTS = {
         "from_spectrum",
         "in_doa",
         "is_infinitely_divisible",
-        "make_cyclic_lut",
-        "make_mod_lut",
         "multiply_spectra",
         "nth_root_oracle",
         "relabel",
@@ -62,7 +63,6 @@ _EXPORTS = {
     ),
     "extremal": (
         "Cdf",
-        "make_max_lut",
         "max_convolve",
         "max_doa",
         "max_nth_root",

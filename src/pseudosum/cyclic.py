@@ -20,47 +20,11 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import SUM_TOL, Distribution, convolve, power, tv_distance
-from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, as_real, json_fields, same_n, shown
+from .lut import MASS_EPS, Permutation, _ident, as_array, as_index, as_int, as_real, make_cyclic_lut, same_n, shown
 
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
 _BRANCH_NODES = 2**17  # decompose_id's bound on the branch prefixes it visits, over all shifts
-
-
-class Permutation:
-    """A bijection s of 0..n-1 together with its inverse."""
-
-    def __init__(self, s):
-        arr = as_array(s, "permutation", np.intp)  # a copy: the caller's array stays writable
-        if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-            raise ValidityError("permutation must be a bijection on [0, n)")
-        inv = np.empty_like(arr)
-        inv[arr] = np.arange(arr.size)
-        arr.setflags(write=False)
-        inv.setflags(write=False)
-        self.s = arr
-        self.inv = inv
-
-    @property
-    def n(self) -> int:
-        return int(self.s.size)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(as_int(n, "n", 1)))
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Permutation":
-        n, s = json_fields(doc, "permutation", "s")
-        perm = cls(s)
-        same_n("permutation length", n, perm.n)
-        return perm
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "s": self.s.tolist()}
-
-    def __repr__(self):
-        return f"Permutation({self.s.tolist()})"
 
 
 class Spectrum:
@@ -128,28 +92,8 @@ class IdDecomposition:
         object.__setattr__(self, "a", as_index(self.a, n, "a"))
 
 
-def _ident(s: Permutation | None, n: int) -> Permutation:
-    if s is None:
-        return Permutation.identity(n)
-    same_n("permutation size", n, s.n)
-    return s
-
-
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def make_cyclic_lut(n: int, s: Permutation | None = None) -> LutTable:
-    """The table x (+) y = s_inv[(s[x] + s[y]) % n] on the canonical alphabet."""
-    n = as_int(n, "n", 1)
-    s = _ident(s, n)
-    grid = (s.s[:, None] + s.s[None, :]) % n
-    return LutTable(Alphabet.canonical(n), s.inv[grid])
-
-
-def make_mod_lut(n: int) -> LutTable:
-    """Plain mod-n addition (identity permutation)."""
-    return make_cyclic_lut(n)
 
 
 def relabel(p: Distribution, s: Permutation | None = None) -> Distribution:

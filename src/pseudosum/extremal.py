@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidityError
 from .dist import SUM_TOL, Distribution
-from .lut import MASS_EPS, Alphabet, LutTable, as_array, as_index, as_int, same_n
+from .lut import MASS_EPS, as_array, as_index, as_int, same_n
 
 
 class Cdf:
@@ -43,13 +43,6 @@ class Cdf:
     def to_distribution(self) -> Distribution:
         steps = np.diff(self.F, prepend=0.0)
         return Distribution(np.clip(steps, 0.0, None))
-
-
-def make_max_lut(n: int) -> LutTable:
-    """The table x (+) y = max(x, y) on the canonical alphabet."""
-    n = as_int(n, "n", 1)
-    idx = np.arange(n)
-    return LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
 
 
 def max_convolve(p: Distribution, q: Distribution) -> Distribution:

@@ -213,25 +213,89 @@ class LutTable:
         return f"LutTable(n={self.n})"
 
 
+class Permutation:
+    """A bijection s of 0..n-1 together with its inverse."""
+
+    def __init__(self, s):
+        arr = as_array(s, "permutation", np.intp)  # a copy: the caller's array stays writable
+        if not np.array_equal(np.sort(arr), np.arange(arr.size)):
+            raise ValidityError("permutation must be a bijection on [0, n)")
+        inv = np.empty_like(arr)
+        inv[arr] = np.arange(arr.size)
+        arr.setflags(write=False)
+        inv.setflags(write=False)
+        self.s = arr
+        self.inv = inv
+
+    @property
+    def n(self) -> int:
+        return int(self.s.size)
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(np.arange(as_int(n, "n", 1)))
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "Permutation":
+        n, s = json_fields(doc, "permutation", "s")
+        perm = cls(s)
+        same_n("permutation length", n, perm.n)
+        return perm
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "s": self.s.tolist()}
+
+    def __repr__(self):
+        return f"Permutation({self.s.tolist()})"
+
+
+def _ident(s: Permutation | None, n: int) -> Permutation:
+    if s is None:
+        return Permutation.identity(n)
+    same_n("permutation size", n, s.n)
+    return s
+
+
 def apply(lut: LutTable, i: int, j: int) -> int:
     """The operation table entry for (i, j): index of x_i (+) x_j."""
     return int(lut.table[as_index(i, lut.n, "i"), as_index(j, lut.n, "j")])
 
 
-Structure = NamedTuple("Structure", [("kind", str), ("labels", "np.ndarray | None"), ("commutative", bool)])
+def make_cyclic_lut(n: int, s: Permutation | None = None) -> LutTable:
+    """The table x (+) y = s_inv[(s[x] + s[y]) % n] on the canonical alphabet."""
+    n = as_int(n, "n", 1)
+    s = _ident(s, n)
+    grid = (s.s[:, None] + s.s[None, :]) % n
+    return LutTable(Alphabet.canonical(n), s.inv[grid])
+
+
+def make_mod_lut(n: int) -> LutTable:
+    """Plain mod-n addition (identity permutation)."""
+    return make_cyclic_lut(n)
+
+
+def make_max_lut(n: int) -> LutTable:
+    """The table x (+) y = max(x, y) on the canonical alphabet."""
+    n = as_int(n, "n", 1)
+    idx = np.arange(n)
+    return LutTable(Alphabet.canonical(n), np.maximum.outer(idx, idx))
+
+
+Structure = NamedTuple("Structure", [("kind", str), ("labels", "Permutation | None"), ("commutative", bool)])
 
 
 def structure(lut: LutTable) -> Structure:
     """The table's kind, read off its entries once, in O(N^2) time and O(N)
     memory beyond one N^2 boolean.  Both recognized kinds relabel a classical
-    operation op: table[x, y] is inv[op(labels[x], labels[y])], inv the
-    inverse of labels, and both are associative and commutative.  MAX: op is
-    max, and labels[x] = #{y : x (+) y = x} - 1 is x's rank in the chain;
-    every element is idempotent.  CYCLIC: op is addition mod N, and labels[x]
-    is x's residue; e, the one idempotent, is a two-sided identity, N/2 - 1
-    gathers step the powers of all g at once to the first g with no g^k = e,
-    k <= N/2 (in Z_N a generator, which serves), and labels[g^k] = k.  RAW:
-    any other table, labels None."""
+    operation op through the Permutation labels, s = labels.s: table[x, y]
+    is labels.inv[op(s[x], s[y])], and both are associative and commutative.
+    MAX: op is max, and s[x] = #{y : x (+) y = x} - 1 is x's rank in the
+    chain; every element is idempotent.  CYCLIC: op is addition mod N, as
+    make_cyclic_lut(N, labels) builds, and s[x] is x's residue; e, the one
+    idempotent, is a two-sided identity, N/2 - 1 gathers step the powers of
+    all g at once to the first g with no g^k = e, k <= N/2 (in Z_N a
+    generator, which serves), and s[g^k] = k.  RAW: any other table, labels
+    None."""
     if lut._structure is not None:
         return lut._structure
     # candidate labels lab, then one check, row by row, that lab relabels the
@@ -256,8 +320,7 @@ def structure(lut: LutTable) -> Structure:
     if kind != RAW:
         look = np.tile(np.argsort(lab), copies)
         if np.array_equal(lab[look[:n]], idx) and all((row == look[op(v, lab)]).all() for row, v in zip(t, lab)):
-            labels = lab
-            labels.setflags(write=False)
+            labels = Permutation(lab)
     commutative = labels is not None or check_commutative(lut) is None
     lut._structure = Structure(kind if labels is not None else RAW, labels, commutative)
     return lut._structure

@@ -230,7 +230,7 @@ def empirical_fold(
     Each trial left-folds m inverse-CDF samples through the table.  Trials
     are processed in fixed blocks, one fold step at a time, so memory stays
     bounded whatever cfg.trials and cfg.m.  On a max table, whose elements
-    have the ranks `structure(lut).labels`, a trial's fold is the rank its
+    have the ranks `structure(lut).labels.s`, a trial's fold is the rank its
     largest output draws from the law of the ranks, as that inverse CDF is
     monotone: each block keeps a running maximum, draws once, and gives each
     element the count of its rank.
@@ -249,8 +249,8 @@ def empirical_fold(
     as_int(workers, "workers", 1)
     n, m = lut.n, cfg.m
     st = structure(lut)
-    fold_max = st.kind == MAX  # a max table folds ranks: element x has rank st.labels[x]
-    law = p.p[np.argsort(st.labels)] if fold_max else p.p
+    fold_max = st.kind == MAX  # a max table folds ranks: element x has rank st.labels.s[x]
+    law = p.p[st.labels.inv] if fold_max else p.p
     guide = _InverseCdf(law)
     flat = lut.table.ravel()
     # every step but the last gathers a row offset, table * N, in place of
@@ -312,5 +312,5 @@ def empirical_fold(
             guide.index(ob, ab, tb)
         counts += np.bincount(ab, minlength=n)
     if fold_max:  # counts by rank: give each to its element
-        counts = counts[st.labels]
+        counts = counts[st.labels.s]
     return Distribution(counts / cfg.trials)

@@ -431,9 +431,9 @@ DIST = BASE | {"lut", "dist"}
         pytest.param(["check", "--gen", "bogus9"], BASE, id="check-gen-bogus"),
         pytest.param(["max", "--root", "x", "{d}"], BASE, id="max-root-not-an-integer"),
         pytest.param(["check", "--lut", "{t}"], BASE | {"lut"}, id="check-lut"),
-        pytest.param(["check", "--gen", "mod8"], DIST | {"cyclic"}, id="check-gen-mod"),
-        pytest.param(["check", "--gen", "max8"], DIST | {"extremal"}, id="check-gen-max"),
-        pytest.param(["check", "--gen", "perm:{s}"], DIST | {"cyclic"}, id="check-gen-perm"),
+        pytest.param(["check", "--gen", "mod8"], BASE | {"lut"}, id="check-gen-mod"),
+        pytest.param(["check", "--gen", "max8"], BASE | {"lut"}, id="check-gen-max"),
+        pytest.param(["check", "--gen", "perm:{s}"], BASE | {"lut"}, id="check-gen-perm"),
         pytest.param(["convolve", "--lut", "{t}", "{d}", "{d}"], DIST, id="convolve"),
         pytest.param(["power", "--lut", "{t}", "{d}", "--m", "3"], DIST, id="power"),
         pytest.param(["limit", "--lut", "{t}", "--dist", "{d}"], DIST, id="limit"),
