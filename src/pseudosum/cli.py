@@ -52,11 +52,49 @@ def _read_json(path: str) -> dict:
         raise ValidityError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _int_arg(text: str, name: str) -> int:
+_DIGITS_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+_ECHO = 40  # characters of an argument that a message shows
+
+
+def _echo(arg) -> str:
+    """repr of a command-line argument, or of the int read from one, for a
+    message: its first _ECHO characters and its length when it is longer.
+    An int past CPython's int-to-str digit limit shows its bit length."""
+    try:
+        text = repr(arg)
+    except ValueError:
+        return f"{'-' if arg < 0 else ''}<{arg.bit_length()}-bit int>"
+    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
+
+
+def _to_int(text: str) -> int:
+    """text as int() reads it; past CPython's int-to-str digit limit (4300
+    digits by default), which int() refuses, a string of decimal digits of
+    any length with an optional sign is read too.  ValueError otherwise."""
     try:
         return int(text)
     except ValueError:
-        raise ValidityError(f"{name} must be an integer, got {text!r}") from None
+        if not _DIGITS_RE.fullmatch(text):
+            raise
+        import decimal  # a few ms of start-up, paid on this path alone
+
+        return int(decimal.Decimal(text))
+
+
+def _int_arg(text: str, name: str) -> int:
+    try:
+        return _to_int(text)
+    except ValueError:
+        raise ValidityError(f"{name} must be an integer, got {_echo(text)}") from None
+
+
+def _int_option(text: str) -> int:
+    """The argparse type of every integer option: malformed text is a usage
+    error (exit 2) with argparse's own message, its echo capped."""
+    try:
+        return _to_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
 def _load_dist(path: str) -> ps.Distribution:
@@ -82,12 +120,12 @@ def _load_lut(args) -> ps.LutTable:
     if gen:
         m = _GEN_RE.match(gen)
         if m:
-            n = int(m.group(2))
+            n = _to_int(m.group(2))
             return ps.make_mod_lut(n) if m.group(1) == "mod" else ps.make_max_lut(n)
         if gen.startswith("perm:"):
             perm = _load_perm(gen[len("perm:") :])
             return ps.make_cyclic_lut(perm.n, perm)
-        raise ValidityError(f"unknown generator {gen!r}; expected modN, maxN, or perm:FILE")
+        raise ValidityError(f"unknown generator {_echo(gen)}; expected modN, maxN, or perm:FILE")
     raise ValidityError("no table given; use --lut FILE or --gen SPEC")
 
 
@@ -132,24 +170,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_power)
     _add_table_args(sub)
     sub.add_argument("dist", metavar="DIST")
-    sub.add_argument("--m", type=int, required=True)
+    sub.add_argument("--m", type=_int_option, required=True)
 
     sub = subs.add_parser("limit", help="limit of fold powers by doubling")
     sub.set_defaults(handler=_cmd_limit)
     _add_table_args(sub)
     sub.add_argument("--dist", required=True)
     sub.add_argument("--tol", type=float)  # None: dist.FIXED_POINT_TOL
-    sub.add_argument("--max-doublings", type=int, default=64)
+    sub.add_argument("--max-doublings", type=_int_option, default=64)
 
     sub = subs.add_parser("stable", help="enumerate stable laws of the cyclic table")
     sub.set_defaults(handler=_cmd_stable)
-    sub.add_argument("--enumerate", type=int, required=True, metavar="N")
+    sub.add_argument("--enumerate", type=_int_option, required=True, metavar="N")
     sub.add_argument("--perm", help="permutation JSON file")
 
     sub = subs.add_parser("doa", help="domain-of-attraction test (cyclic table)")
     sub.set_defaults(handler=_cmd_doa)
     sub.add_argument("--dist", required=True)
-    sub.add_argument("--target", type=int, help="divisor M of the target stable law")
+    sub.add_argument("--target", type=_int_option, help="divisor M of the target stable law")
     sub.add_argument("--perm")
 
     sub = subs.add_parser("id", help="infinite divisibility (cyclic table)")
@@ -177,10 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_simulate)
     _add_table_args(sub)
     sub.add_argument("--dist", required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--trials", type=int, required=True)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--workers", type=int, default=1,
+    sub.add_argument("--m", type=_int_option, required=True)
+    sub.add_argument("--trials", type=_int_option, required=True)
+    sub.add_argument("--seed", type=_int_option, required=True)
+    sub.add_argument("--workers", type=_int_option, default=1,
                      help="must be >= 1; changes neither the result nor the work")
     sub.add_argument("--compare-exact", action="store_true")
 
@@ -242,7 +280,7 @@ def _cmd_doa(args) -> dict:
     perm = _load_perm(args.perm)
     if args.target is not None:
         if args.target < 1 or p.n % args.target != 0:
-            raise ValidityError(f"target {args.target} must be a divisor of n={p.n}")
+            raise ValidityError(f"target {_echo(args.target)} must be a divisor of n={p.n}")
         law = ps.StableLaw(args.target, p.n // args.target)
         return {"target": {"m": law.m, "r": law.r}, "in_doa": ps.in_doa(p, law, perm)}
     law = ps.doa_attractor(p, perm)

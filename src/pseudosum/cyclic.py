@@ -25,6 +25,7 @@ from .lut import MASS_EPS, Permutation, _ident, as_array, as_index, as_int, as_r
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
 _BRANCH_NODES = 2**17  # decompose_id's bound on the branch prefixes it visits, over all shifts
+_STABLE_CELLS = 2**20  # enumerate_stable's bound on N * d(N), the masses it returns
 
 
 class Spectrum:
@@ -93,7 +94,9 @@ class IdDecomposition:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n, ascending, by trial division up to sqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def relabel(p: Distribution, s: Permutation | None = None) -> Distribution:
@@ -155,18 +158,22 @@ def enumerate_stable(
 ) -> list[tuple[StableLaw, Distribution]]:
     """All stable laws for the cyclic table on n points: one per divisor m of
     n, ordered from the point mass (m = n) down to the full uniform (m = 1).
-    The list is exhaustive."""
+    The list is exhaustive.  Raises ValidityError, before it allocates, when
+    its n * d(n) masses would exceed 2^20; n > 2^20 is refused unfactored."""
     n = as_int(n, "n", 1)
+    if n > _STABLE_CELLS or n * len(divisors := _divisors(n)) > _STABLE_CELLS:
+        raise ValidityError(f"stable law enumeration too large: n={shown(n)} times its divisor count > {_STABLE_CELLS}")
     s = _ident(s, n)
     out = []
-    for m in reversed(_divisors(n)):
+    for m in reversed(divisors):
         law = StableLaw(m, n // m)
         out.append((law, stable_distribution(law, s)))
     return out
 
 
 def classify_stable(p: Distribution, s: Permutation | None = None) -> StableLaw | None:
-    """The stable law matching p within total variation SUM_TOL, or None."""
+    """The stable law matching p within total variation SUM_TOL, or None;
+    enumerate_stable's bound applies."""
     s = _ident(s, p.n)
     for law, q in enumerate_stable(p.n, s):
         if tv_distance(p, q) <= SUM_TOL:

@@ -31,6 +31,18 @@ def mod2(tmp_path):
     return write(tmp_path / "mod2.json", make_mod_lut(2).to_json())
 
 
+def child_env():
+    """The environment of a child python: this one, with the directory of the
+    imported pseudosum first on PYTHONPATH, since pyproject's pytest
+    pythonpath reaches only this process, and without PYTHONUNBUFFERED, so
+    stdout is buffered as for a user: os._exit would drop an unflushed
+    result."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    root = os.path.dirname(os.path.dirname(pseudosum.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return env
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -225,9 +237,11 @@ def test_max_commands(tmp_path, capsys):
     assert code == 0 and doc["p"] == [0.5, 0.5]
     code, doc = run(capsys, ["max", "--doa", "1", p])
     assert code == 0 and doc["in_doa"] is True
-    # an order beyond the float range used to exit 1 with an internal error
-    code, doc = run(capsys, ["max", "--root", "1" + "0" * 400, q])
-    assert code == 0 and doc["p"] == [1.0, 0.0]
+    # an order beyond the float range used to exit 1 with an internal error,
+    # and one past Python's 4300-digit int-to-str limit as not an integer
+    for order in ("1" + "0" * 400, "1" * 5000):
+        code, doc = run(capsys, ["max", "--root", order, q])
+        assert code == 0 and doc["p"] == [1.0, 0.0]
 
 
 def test_simulate_deterministic_and_compare(tmp_path, capsys, mod2):
@@ -298,6 +312,16 @@ def test_exit_codes(tmp_path, capsys):
     # --help -> 0
     assert main(["--help"]) == 0
     capsys.readouterr()
+    # an integer option of any length is read; malformed text is a usage
+    # error whose message shows at most 40 characters of it
+    d = write(tmp_path / "h.json", HALF)
+    assert main(["limit", "--gen", "mod2", "--dist", d, "--max-doublings", "1" * 5000]) == 0
+    capsys.readouterr()
+    for value in ("abc", "1" * 5000 + "x"):
+        assert main(["power", "--gen", "mod2", d, "--m", value]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("pseudosum power: error: argument --m: invalid int value: '")
+        assert len(err) < 120
 
 
 @pytest.mark.parametrize(
@@ -370,7 +394,7 @@ SIZES = "permutation size 3 does not match n=2"
         ({"d": HALF, "s": S3}, ["spectrum", "--dist", "{d}", "--perm", "{s}"], SIZES),
         # a file that is not UTF-8, and sizes beyond numpy's, used to raise a raw traceback
         ({"t": b"\xff\xfe\x00bad"}, ["check", "--lut", "{t}"], "not valid JSON"),
-        ({}, ["stable", "--enumerate", "99999999999999999999"], "internal error"),
+        ({}, ["stable", "--enumerate", "99999999999999999999"], "enumeration too large"),
         ({}, ["check", "--gen", "max99999999999999999999"], "internal error"),
         # a document that is not an object used to report a missing field
         ({"t": [1, 2]}, ["check", "--lut", "{t}"], "lut document must be a JSON object"),
@@ -383,6 +407,15 @@ SIZES = "permutation size 3 does not match n=2"
         ({"d": {"n": 2}}, ["spectrum", "--dist", "{d}"], "distribution document missing field: 'p'"),
         # an integer past Python's int-to-str digit limit used to be an internal error
         ({"d": b'{"n": ' + b"1" * 5000 + b', "p": [1.0]}'}, ["max", "--convolve", "{d}", "{d}"], "not valid JSON"),
+        # stable laws past their bound are refused before any allocation
+        ({}, ["stable", "--enumerate", "1000000007"], "enumeration too large"),
+        # integers past the digit limit are read, and a message shows at most
+        # 40 characters of an argument
+        ({}, ["stable", "--enumerate", "1" * 5000], "n=<16607-bit int> times"),
+        ({"d": HALF}, ["doa", "--dist", "{d}", "--target", "1" * 5000], "target <16607-bit int> must"),
+        ({"d": HALF}, ["max", "--doa", "1" * 5000, "{d}"], "got <16607-bit int>"),
+        ({"d": HALF}, ["max", "--root", "x" * 5000, "{d}"], "'" + "x" * 39 + "... (5002 characters)"),
+        ({}, ["check", "--gen", "bogus" + "9" * 5000], "'bogus" + "9" * 34 + "... (5007 characters);"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):
@@ -414,7 +447,7 @@ def test_table_commands_do_not_import_numpy_ma():
         "    assert main(['check', '--gen', 'mod8']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
@@ -460,16 +493,14 @@ def test_commands_import_only_their_modules(tmp_path, argv, loaded):
         "print(*sorted(m[10:] for m in sys.modules if m.startswith('pseudosum.')))\n"
         "print('numpy' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     # every command that reaches the library succeeds here
     assert out.stdout.splitlines() == [str(loaded != BASE), " ".join(sorted(loaded)), str("lut" in loaded)]
 
 
 def python_m(*argv, **kwargs):
-    # buffered stdout, as for a user: os._exit would drop an unflushed result
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-m", "pseudosum", *argv], env=env, text=True, **kwargs)
+    return subprocess.run([sys.executable, "-m", "pseudosum", *argv], env=child_env(), text=True, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -518,9 +549,8 @@ def test_failed_result_write_exits_1_with_one_line():
 def test_closed_stdout_exits_1_with_one_line():
     # with descriptor 1 closed at start-up, sys.stdout is None and print
     # drops the result: the process used to exit 0 having written nothing
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     out = subprocess.run(["sh", "-c", '"$0" -m pseudosum check --gen mod4 >&-', sys.executable],
-                         env=env, text=True, stderr=subprocess.PIPE)
+                         env=child_env(), text=True, stderr=subprocess.PIPE)
     assert out.returncode == 1
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pseudosum check: "), out.stderr

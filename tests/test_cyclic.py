@@ -180,6 +180,23 @@ def test_enumerate_stable_examples():
     assert len(only) == 1 and only[0][1].p.tolist() == [1.0]
 
 
+def test_enumerate_stable_has_a_bound():
+    # n * d(n) <= 2^20 masses pass: the prime 2^19 - 1 has two laws.  Past
+    # the bound nothing is allocated, and n > 2^20 is not even factored
+    from pseudosum.cyclic import _divisors
+
+    assert all(_divisors(n) == divisors(n) for n in range(1, 1000))
+    assert [law.m for law, _ in enumerate_stable(2**19 - 1)] == [2**19 - 1, 1]
+    tracemalloc.start()
+    try:
+        for n in (2**19, 2**20, 1_000_000_007, 10**5000):
+            with pytest.raises(ValidityError, match="stable law enumeration too large"):
+                enumerate_stable(n)
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+
+
 def test_enumerate_stable_all_fixed_points_and_exhaustive():
     rng = np.random.default_rng(74)
     for n in range(1, 17):

@@ -331,6 +331,33 @@ def test_structure_matches_brute_force_over_relabelings():
     assert recognized >= 90
 
 
+def test_structure_matches_brute_force_on_every_small_table():
+    # every magma of order <= 3 and every associative table of order 4: the
+    # kind is CYCLIC or MAX exactly when one of the N! relabelings of Z_N or
+    # max_N is the table, and the labels found rebuild it
+    tables = [np.array(cells).reshape(n, n) for n in (1, 2, 3) for cells in itertools.product(range(n), repeat=n * n)]
+    tables += [np.array(t) for t in associative_tables(4)]
+    models = {n: _relabeled_models(n) for n in range(1, 5)}
+    alphabets = {n: Alphabet.canonical(n) for n in range(1, 5)}
+    kinds = {lut_module.MAX: 0, lut_module.CYCLIC: 0, lut_module.RAW: 0}
+    for table in tables:
+        n = len(table)
+        lut = LutTable(alphabets[n], table)
+        st = lut_module.structure(lut)
+        kinds[st.kind] += 1
+        assert st.kind == models[n].get(lut.table.tobytes(), lut_module.RAW)
+        if st.kind == lut_module.CYCLIC:
+            assert np.array_equal(make_cyclic_lut(n, st.labels).table, table)
+        elif st.kind == lut_module.MAX:
+            s = st.labels.s
+            assert np.array_equal(st.labels.inv[np.maximum.outer(s, s)], table)
+        else:
+            assert st.labels is None
+    # orders 1-4: 1 + 2 + 6 + 24 relabelings of max_N, 2 + 3 + 12 of Z_N
+    # (Z_1 is max_1)
+    assert kinds == {lut_module.MAX: 33, lut_module.CYCLIC: 17, lut_module.RAW: 1 + 16 + 19683 + 3492 - 50}
+
+
 def test_counterexample_reproduces_inequality():
     rng = np.random.default_rng(52)
     found = 0
