@@ -18,7 +18,7 @@ from typing import NoReturn
 
 import pseudosum as ps
 
-from .errors import ValidityError
+from .errors import ValidityError, shown
 
 # The library is called only as ps.<name>: the package's _EXPORTS table
 # imports a submodule on a name's first use, so a process loads only what
@@ -57,13 +57,9 @@ _ECHO = 40  # characters of an argument that a message shows
 
 
 def _echo(arg) -> str:
-    """repr of a command-line argument, or of the int read from one, for a
-    message: its first _ECHO characters and its length when it is longer.
-    An int past CPython's int-to-str digit limit shows its bit length."""
-    try:
-        text = repr(arg)
-    except ValueError:
-        return f"{'-' if arg < 0 else ''}<{arg.bit_length()}-bit int>"
+    """shown(arg) for a command-line argument, or the int read from one: its
+    first _ECHO characters and its length when it is longer."""
+    text = shown(arg)
     return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
 
 

@@ -1,13 +1,17 @@
 """Cyclic pseudo-summation through a relabeling permutation.
 
 The table is modular addition conjugated by a permutation s:
-``x (+) y = s_inv[(s[x] + s[y]) % N]``.  Under the relabeling Y = s(X) every
-law gets a characteristic function (the DFT of the relabeled probability
-vector), multiplicative under convolution, which drives everything here:
-stable laws are exactly the uniform laws on subgroups (pushed through s_inv),
-a law is attracted iff its relabeled support lies in the subgroup generated
-by the support's pairwise differences (a gcd rule), and infinitely divisible
-laws factor as shift (+) subgroup-uniform (+) compound Poisson.
+``x (+) y = s_inv[(s[x] + s[y]) % N]``, as `lut.make_cyclic_lut(N, s)`
+builds it; `lut.structure` finds s, as a `lut.Permutation`, for any table of
+this kind.  The functions here take s (the identity when omitted), not a
+table; only `nth_root_oracle` builds one, to fold its candidate roots.
+Under the relabeling Y = s(X) every law gets a characteristic function
+(the DFT of the relabeled probability vector), multiplicative under
+convolution, which drives everything here: stable laws are exactly the
+uniform laws on subgroups (pushed through s_inv), a law is attracted iff its
+relabeled support lies in the subgroup generated by the support's pairwise
+differences (a gcd rule), and infinitely divisible laws factor as
+shift (+) subgroup-uniform (+) compound Poisson.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidityError
+from .errors import ValidityError, shown
 from .dist import SUM_TOL, Distribution, convolve, power, tv_distance
-from .lut import MASS_EPS, Permutation, _ident, as_array, as_index, as_int, as_real, make_cyclic_lut, same_n, shown
+from .lut import MASS_EPS, Permutation, _ident, as_array, as_index, as_int, as_real, make_cyclic_lut, same_n
 
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2

@@ -1,9 +1,11 @@
 """The max pseudo-summation: CDF products, max-stability, and n-th roots.
 
-Everything here works in alphabet index order and assumes the alphabet is
-sorted ascending (the canonical alphabet 0..n-1 is); a table built by
-``make_max_lut`` takes the larger index.  Callers with unsorted alphabets
-should relabel first.
+Everything here works on laws in alphabet index order, takes no table, and
+assumes the alphabet is sorted ascending (the canonical alphabet 0..n-1
+is): the table is the one `lut.make_max_lut` builds, which takes the larger
+index.  A max table under any other relabeling is recognized by
+`lut.structure`, whose labels.s gives each element its rank; callers with
+unsorted alphabets should relabel to ranks first.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidityError
+from .errors import ValidityError, shown
 
 MASS_EPS = 1e-12  # mass at or below this counts as absent (a point, or a tail)
 CYCLIC, MAX, RAW = "cyclic", "max", "raw"  # the kinds of Structure
@@ -71,18 +71,6 @@ def json_fields(doc, what: str, *names: str) -> tuple:
         return (json_size(doc["n"]), *(doc[name] for name in names))
     except KeyError as exc:
         raise ValidityError(f"{what} document missing field: {exc}") from exc
-
-
-def shown(value) -> str:
-    """repr(value) for a message; an int past CPython's int-to-str digit
-    limit (4300 digits by default), which repr refuses, is shown by its sign
-    and bit length."""
-    try:
-        return repr(value)
-    except ValueError:
-        if isinstance(value, numbers.Integral):
-            return f"{'-' if value < 0 else ''}<{int(value).bit_length()}-bit int>"
-        return f"<{type(value).__name__} too long to print>"
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
