@@ -176,13 +176,19 @@ def enumerate_stable(
 
 
 def classify_stable(p: Distribution, s: Permutation | None = None) -> StableLaw | None:
-    """The stable law matching p within total variation SUM_TOL, or None;
-    enumerate_stable's bound applies."""
+    """The stable law matching p within total variation SUM_TOL, or None.
+
+    A law within SUM_TOL of the uniform law on a subgroup of r points has
+    mass above 1/(2n) at exactly those r points, in any relabeling, and Z_n
+    has one subgroup of each order: the count r names the one candidate.
+    That count separates the two sides only while n < 1/(4 SUM_TOL); larger
+    n raise ValidityError."""
+    if 4 * SUM_TOL * p.n >= 1:
+        raise ValidityError(f"stable law classification too large: n={p.n} >= 1/(4 * {SUM_TOL})")
     s = _ident(s, p.n)
-    for law, q in enumerate_stable(p.n, s):
-        if tv_distance(p, q) <= SUM_TOL:
-            return law
-    return None
+    r = int(np.count_nonzero(p.p > 0.5 / p.n))
+    law = StableLaw(p.n // r, r)  # no stable law when r does not divide n
+    return law if law.n == p.n and tv_distance(p, stable_distribution(law, s)) <= SUM_TOL else None
 
 
 def in_doa(p: Distribution, target: StableLaw, s: Permutation | None = None) -> bool:

@@ -416,6 +416,9 @@ SIZES = "permutation size 3 does not match n=2"
         ({"d": HALF}, ["max", "--doa", "1" * 5000, "{d}"], "got <16607-bit int>"),
         ({"d": HALF}, ["max", "--root", "x" * 5000, "{d}"], "'" + "x" * 39 + "... (5002 characters)"),
         ({}, ["check", "--gen", "bogus" + "9" * 5000], "'bogus" + "9" * 34 + "... (5007 characters);"),
+        # a simulation past its draw bound used to run until it was killed
+        ({"d": HALF}, ["simulate", "--gen", "mod2", "--dist", "{d}", "--m", "2", "--trials", "1" + "0" * 21,
+                       "--seed", "1"], "simulation too large: trials=1000000000000000000000 times m=2"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):

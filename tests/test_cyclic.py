@@ -37,6 +37,7 @@ from pseudosum import (
     verify_left_subtraction,
 )
 from pseudosum.cyclic import ZERO_EPS
+from pseudosum.dist import SUM_TOL
 
 from oracles import divisors, near_uniform_law, random_law
 
@@ -246,6 +247,52 @@ def test_classify_stable():
     s = Permutation([1, 2, 0])
     assert classify_stable(Distribution.point_mass(3, int(s.inv[0])), s) == StableLaw(3, 1)
     assert classify_stable(Distribution([0.75, 0.25])) is None
+
+
+def test_classify_stable_agrees_with_the_enumeration_scan():
+    # the scan over every stable law is the reference for the count of
+    # points above 1/(2N); the four families put laws on both sides of SUM_TOL
+    def scan(p, s):
+        return next((law for law, q in enumerate_stable(p.n, s) if tv_distance(p, q) <= SUM_TOL), None)
+
+    rng = np.random.default_rng(251)
+    found = 0
+    for i in range(3000):
+        n = int(rng.integers(1, 121))
+        s = Permutation(rng.permutation(n))
+        m = int(rng.choice(divisors(n)))
+        q = stable_distribution(StableLaw(m, n // m), s).p.copy()
+        if i % 4 == 1:  # mixed with noise of total mass 1e-12 to 1e-8
+            eps = 10 ** rng.uniform(-12, -8)
+            q = (1 - eps) * q + eps * rng.dirichlet(np.ones(n))
+        elif i % 4 == 2 and m > 1:  # 1e-11 to 1e-8 of the mass moved off the subgroup
+            eps = 10 ** rng.uniform(-11, -8)
+            q *= 1 - eps
+            q[rng.choice(np.flatnonzero(q == 0))] += eps
+        elif i % 4 == 3:
+            q = rng.dirichlet(np.full(n, 0.3))
+        p = Distribution(q)
+        got = classify_stable(p, s)
+        assert got == scan(p, s), (i, n, m)
+        found += got is not None
+    assert 1500 < found < 2500
+
+
+def test_classify_stable_has_no_enumeration_bound():
+    # N d(N) = 720720 * 240 masses are far past enumerate_stable's bound
+    assert classify_stable(Distribution.uniform(720720)) == StableLaw(1, 720720)
+
+
+def test_classify_stable_refuses_where_the_count_cannot_separate(monkeypatch):
+    # past N = 1/(4 SUM_TOL), mass 1/(2N) no longer separates a subgroup's
+    # points from the rest; a wrong-size permutation is refused even when
+    # the count rules every stable law out
+    monkeypatch.setattr("pseudosum.cyclic.SUM_TOL", 1e-2)
+    assert classify_stable(Distribution.uniform(24)) == StableLaw(1, 24)
+    with pytest.raises(ValidityError, match="stable law classification too large: n=25"):
+        classify_stable(Distribution.uniform(25))
+    with pytest.raises(ValidityError, match="permutation size"):
+        classify_stable(Distribution([0.45, 0.45, 0.1]), Permutation([0, 1, 2, 3]))
 
 
 def test_in_doa_examples():

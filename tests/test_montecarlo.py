@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,23 @@ def test_counting_guide_matches_doubling_search():
         last -= np.uint64(1)
         want = np.searchsorted(t, last, side="right")
         assert np.array_equal(guide.index((last << np.uint64(11)) | np.uint64(0x7FF)), want)
+
+
+def test_fold_draws_have_a_bound(monkeypatch):
+    # more than _DRAWS draws in all are refused before the first block, at
+    # once: 10^21 draws would take about 10^13 s at 10^8 draws/s
+    import pseudosum.montecarlo as mc
+
+    lut, p = make_mod_lut(2), Distribution([0.5, 0.5])
+    for trials, m in ((10**21, 2), (mc._DRAWS + 1, 1), (1, mc._DRAWS + 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValidityError, match="simulation too large"):
+            empirical_fold(lut, p, SimConfig(seed=1, trials=trials, m=m))
+        assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(mc, "_DRAWS", 1000)
+    assert empirical_fold(lut, p, SimConfig(seed=1, trials=500, m=2)).n == 2
+    with pytest.raises(ValidityError, match="trials=501 times m=2 > 1000 draws"):
+        empirical_fold(lut, p, SimConfig(seed=1, trials=501, m=2))
 
 
 def test_fold_memory_is_bounded():
