@@ -9,7 +9,7 @@ w = o >> 11 and u = w * 2^-53 in [0, 1); the fold never forms w.
 `empirical_fold` walks the trials in fixed blocks of ``_BLOCK`` and takes
 one fold step at a time within a block, so its block buffers take O(_BLOCK)
 memory whatever the number of trials and the fold length.  Beside them sit
-an O(N) guide table and, on a generic table folded three or more times, a
+an O(N) guide table and, on a RAW table folded three or more times, a
 row-offset copy of the table (N^2 indices, the size of the table itself).
 The SplitMix64 state of a block steps in place, and indices come from a
 guide-table inverse CDF (Chen & Asau 1974; Devroye 1986, III.2.4) built
@@ -18,14 +18,18 @@ relative to their bucket's start, so one gather, an add of the raw output
 and a shift give the index: the fold converts no float.  The guide grows
 until one probe settles every bucket (or to a fixed cap), and the few draws
 in buckets it leaves wide are found by their sentinel index and
-binary-searched.  A generic fold step adds the drawn index to the trial's
-row offset (row * N) and gathers the next one from the table scaled by N.
-On a max table, in any relabeling, a trial draws its rank once, from the
-largest of its m outputs.
+binary-searched.  A table that `structure` recognizes folds in its
+canonical labels: the law is read in label order and the counts go back to
+the elements.  On a max table a trial keeps the running maximum of its
+outputs and draws its rank once, from the largest of its m outputs; on a
+cyclic table it sums the residues it draws, reduced mod N once per block.
+A RAW fold step adds the drawn index to the trial's row offset (row * N)
+and gathers the next one from the table scaled by N.
 
 A trial stops drawing once it reaches the zero z of the law's support (the
 element with z (+) y = y (+) z = z for every y in it; on a max table, the
-top rank of positive mass), since no later draw can move it: at a few fold
+top rank of positive mass; on a cyclic table, the identity, when it is the
+whole support), since no later draw can move it: at a few fold
 lengths a block counts its trials at z with one compare and, when that
 saves enough steps, moves the rest to the front of its buffers.  Each
 trial's draws depend on its counter alone, so the histogram is unchanged.
@@ -39,7 +43,7 @@ import numpy as np
 
 from .errors import ValidityError, shown
 from .dist import Distribution
-from .lut import MAX, LutTable, as_int, as_real, same_n, structure
+from .lut import CYCLIC, MAX, RAW, LutTable, as_int, as_real, same_n, structure
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -230,14 +234,19 @@ def empirical_fold(
 
     Each trial left-folds m inverse-CDF samples through the table.  Trials
     are processed in fixed blocks, one fold step at a time, so memory stays
-    bounded whatever cfg.trials and cfg.m.  On a max table, whose elements
-    have the ranks `structure(lut).labels.s`, a trial's fold is the rank its
-    largest output draws from the law of the ranks, as that inverse CDF is
-    monotone: each block keeps a running maximum, draws once, and gives each
-    element the count of its rank.
+    bounded whatever cfg.trials and cfg.m.  A table that `structure`
+    recognizes folds in its canonical labels `structure(lut).labels.s`
+    (ranks or residues): draws come from the law in label order, and each
+    element gets the count of its label.  On a max table a trial's fold is
+    the rank its largest output draws, as that inverse CDF is monotone: each
+    block keeps a running maximum and draws once.  On a cyclic table it is
+    the sum of the drawn residues mod N: each block keeps running sums and
+    reduces them once.  Only a RAW table folds through the table itself,
+    via a row-offset copy of it (N^2 indices) when m >= 3.
 
     A trial that reaches the zero z of supp p (z (+) y = y (+) z = z for
-    every y in it; on a max table, the top rank of positive mass) stays
+    every y in it; on a max table, the top rank of positive mass; on a
+    cyclic table, the identity, when supp p is just it) stays
     there whatever it draws next, so it stops drawing: after j = 1, 2, 4, ...
     of m draws, while (1 - (1 - p(z))^j) (m - j) >= 2, a block counts its
     trials at z, and when the k found save k (m - j) steps, at least twice
@@ -253,21 +262,27 @@ def empirical_fold(
     if cfg.trials * m > _DRAWS:
         raise ValidityError(f"simulation too large: trials={shown(cfg.trials)} times m={shown(m)} > {_DRAWS} draws")
     st = structure(lut)
-    fold_max = st.kind == MAX  # a max table folds ranks: element x has rank st.labels.s[x]
-    law = p.p[st.labels.inv] if fold_max else p.p
+    kind = st.kind
+    # a recognized table folds in its canonical labels (ranks or residues):
+    # element x has label st.labels.s[x], and label r is element st.labels.inv[r]
+    law = p.p if st.labels is None else p.p[st.labels.inv]
     guide = _InverseCdf(law)
-    flat = lut.table.ravel()
-    # every step but the last gathers a row offset, table * N, in place of
-    # multiplying the running index by N; the last gathers the index itself
-    rows = (lut.table * n).ravel() if m > 2 and not fold_max else flat
+    if kind == RAW:
+        flat = lut.table.ravel()
+        # every step but the last gathers a row offset, table * N, in place of
+        # multiplying the running index by N; the last gathers the index itself
+        rows = (lut.table * n).ravel() if m > 2 else flat
     # a trial is short of the zero z of supp p while short(its running value,
     # mark) holds: on a max table, while its running maximum output o draws a
-    # rank below z, o < t[z - 1] << 11 (no z if that bound is 2^64);
-    # otherwise while its row offset is not z * N
-    if fold_max:
+    # rank below z, o < t[z - 1] << 11 (no z if that bound is 2^64); on a
+    # cyclic table, where only the support {e} has a zero, while its residue
+    # sum is not 0; otherwise while its row offset is not z * N
+    if kind == MAX:
         z = int(np.flatnonzero(law)[-1])
         mark = int(guide.t[z - 1]) << 11 if z else 0
         z, short, mark = (z, np.less, _U64(mark)) if mark < 2**64 else (None, None, None)
+    elif kind == CYCLIC:
+        z, short, mark = (None if law[1:].any() else 0), np.not_equal, 0
     else:
         z = _support_zero(lut.table, law)
         short, mark = np.not_equal, None if z is None else z * n
@@ -288,14 +303,15 @@ def empirical_fold(
         zb, ob, sb, tb, ab, ib, cb = (a[:live] for a in buffers)
         np.add(stride[:live], _U64(((lo * m + 1) * int(_GAMMA) + cfg.seed) % 2**64), out=zb)
         _splitmix(zb, ob, tb)
-        if not fold_max:
+        if kind != MAX:
             guide.index(ob, ab, tb)
-            if m > 1:
-                ab *= n  # the row offset of the running sum
+            if kind == RAW and m > 1:
+                ab *= n  # the row offset of the running value
         for j in range(1, m):  # j draws folded so far
             if j in checks:
-                # the running value: a max table's maximum output, else the row offset
-                val = ob if fold_max else ab
+                # the running value: a max table's maximum output, else the
+                # residue sum or the row offset
+                val = ob if kind == MAX else ab
                 keep = short(val, mark, out=live_mask[:live])
                 left = int(np.count_nonzero(keep))
                 if (live - left) * (m - j) >= 2 * left:
@@ -306,15 +322,18 @@ def empirical_fold(
                     if not live:
                         break
             zb += _GAMMA
-            if fold_max:  # ob holds the running maximum of the trial's outputs
+            if kind == MAX:  # ob holds the running maximum of the trial's outputs
                 np.maximum(ob, _splitmix(zb, sb, tb), out=ob)
+            elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^36 N
+                ab += guide.index(_splitmix(zb, ob, tb), ib, tb)
             else:
-                _splitmix(zb, ob, tb)
-                np.add(ab, guide.index(ob, ib, tb), out=cb)
+                np.add(ab, guide.index(_splitmix(zb, ob, tb), ib, tb), out=cb)
                 np.take(rows if j < m - 1 else flat, cb, out=ab, mode="clip")
-        if fold_max:
+        if kind == MAX:
             guide.index(ob, ab, tb)
+        elif kind == CYCLIC:
+            np.remainder(ab, n, out=ab)
         counts += np.bincount(ab, minlength=n)
-    if fold_max:  # counts by rank: give each to its element
+    if st.labels is not None:  # counts by canonical label: give each to its element
         counts = counts[st.labels.s]
     return Distribution(counts / cfg.trials)

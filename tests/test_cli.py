@@ -258,6 +258,19 @@ def test_simulate_deterministic_and_compare(tmp_path, capsys, mod2):
     assert len(doc1["exact"]) == 2
 
 
+def test_simulate_relabeled_cyclic_matches_exact_law(tmp_path, capsys):
+    # a relabeled cyclic table folds in residues; its histogram is within the
+    # TV bound the bench uses (failing with probability < 1e-9) of the exact law
+    rng = np.random.default_rng(31)
+    n, trials = 16, 40_000
+    s = write(tmp_path / "s.json", {"n": n, "s": rng.permutation(n).tolist()})
+    d = write(tmp_path / "d.json", {"n": n, "p": rng.dirichlet(np.ones(n)).tolist()})
+    code, doc = run(capsys, ["simulate", "--gen", f"perm:{s}", "--dist", d, "--m", "5", "--trials", str(trials),
+                             "--seed", "3", "--compare-exact"])
+    assert code == 0
+    assert doc["tv"] <= 0.5 * np.sqrt(n / trials) + np.sqrt(np.log(1e9) / (2 * trials))
+
+
 def test_simulate_compare_exact_rejects_the_table_before_any_trial(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("Monte Carlo run on a table the exact law rejects")

@@ -8,9 +8,11 @@ from pseudosum import (
     Alphabet,
     Distribution,
     LutTable,
+    Permutation,
     SimConfig,
     ValidityError,
     empirical_fold,
+    make_cyclic_lut,
     make_max_lut,
     make_mod_lut,
     power,
@@ -262,7 +264,8 @@ def _absorbing_lut(rng, k, last=False):
 
 def test_trials_at_the_zero_stop_drawing(monkeypatch):
     # a point mass on the zero: every trial is there after one draw, so a
-    # block makes one SplitMix64 pass, not m, on the max path and the generic
+    # block makes one SplitMix64 pass, not m, on the max path, the cyclic one
+    # (the identity e, residue 0, is the zero of the support {e}) and the generic
     import pseudosum.montecarlo as mc
 
     splitmix, calls = mc._splitmix, []
@@ -273,32 +276,41 @@ def test_trials_at_the_zero_stop_drawing(monkeypatch):
 
     monkeypatch.setattr(mc, "_splitmix", counting)
     trials, blocks = 2 * mc._BLOCK + 5, 3
-    for lut, z in ((make_max_lut(8), 5), _absorbing_lut(np.random.default_rng(3), 7)):
+    cyc = make_cyclic_lut(6, Permutation([3, 1, 4, 0, 5, 2]))
+    for lut, z in ((make_max_lut(8), 5), (cyc, 3), _absorbing_lut(np.random.default_rng(3), 7)):
         calls.clear()
         got = empirical_fold(lut, Distribution.point_mass(lut.n, z), SimConfig(seed=11, trials=trials, m=1000))
         assert got.p.tolist() == np.eye(lut.n)[z].tolist()
         assert len(calls) <= 2 * blocks, len(calls)
 
 
-def test_relabeled_max_folds_in_rank_order():
-    # a max table through a relabeling draws ranks from the law p[order] and
-    # gives the counts back to the elements: the identity-max fold of p[order]
-    from pseudosum.lut import MAX, structure
+def test_relabeled_tables_fold_in_canonical_labels():
+    # a max or cyclic table through a relabeling draws canonical labels (ranks
+    # or residues) from the law p[order] and gives the counts back to the
+    # elements: the identity-max or mod-n fold of p[order]
+    from pseudosum.lut import CYCLIC, MAX, structure
     from pseudosum.montecarlo import _BLOCK
 
     rng = np.random.default_rng(79)
+    cases = []
     for n in (1, 2, 7, 16, 64):
         sigma = rng.permutation(n)
         lut = LutTable(Alphabet.canonical(n), sigma[np.maximum.outer(np.argsort(sigma), np.argsort(sigma))])
-        order = structure(lut).labels.inv
-        assert structure(lut).kind == MAX and np.array_equal(order, sigma)
+        assert structure(lut).kind == MAX and np.array_equal(structure(lut).labels.inv, sigma)
+        cases.append((lut, make_max_lut(n)))
+    for n in (2, 7, 16, 64):
+        lut = make_cyclic_lut(n, Permutation(rng.permutation(n)))
+        assert structure(lut).kind == CYCLIC
+        cases.append((lut, make_mod_lut(n)))
+    for lut, canonical in cases:
+        n, order = lut.n, structure(lut).labels.inv
         for alpha in (0.2, 1.0):
             p = Distribution(rng.dirichlet(np.full(n, alpha)))
             for trials, m in ((1, 1), (_BLOCK + 1, 2), (999, 33)):
                 cfg = SimConfig(seed=int(rng.integers(2**63)), trials=trials, m=m)
                 got = empirical_fold(lut, p, cfg)
-                want = empirical_fold(make_max_lut(n), Distribution(p.p[order]), cfg)
-                assert want.p.tobytes() == _ref_fold(make_max_lut(n), Distribution(p.p[order]), cfg).p.tobytes()
+                want = empirical_fold(canonical, Distribution(p.p[order]), cfg)
+                assert want.p.tobytes() == _ref_fold(canonical, Distribution(p.p[order]), cfg).p.tobytes()
                 assert got.p[order].tobytes() == want.p.tobytes(), (n, trials, m)
 
 
@@ -466,16 +478,27 @@ def test_fold_draws_have_a_bound(monkeypatch):
 
 def test_fold_memory_is_bounded():
     # the all-at-once kernel held 8 M counters, uniforms and indices (about
-    # 190 MB); a max table takes the running-maximum path, mod 8 the table fold
+    # 190 MB); a max table takes the running-maximum path, mod 8 the residue
+    # sum, and a raw table the table fold
     # the capped law holds the guide at its largest, 16 * 2^13 buckets
+    from pseudosum.lut import structure
+
     p = Distribution([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
     wide = Distribution(_capped_wide_law())
-    cases = [(make_max_lut(8), p), (make_mod_lut(8), p), (make_max_lut(1024), wide), (make_mod_lut(1024), wide)]
-    for lut, law in cases:
+    cases = [(make_max_lut(8), p, 1_000_000), (make_mod_lut(8), p, 1_000_000),
+             (LutTable(Alphabet.canonical(6), s3_table()), Distribution(np.full(6, 1 / 6)), 1_000_000),
+             (make_max_lut(1024), wide, 1_000_000), (make_mod_lut(1024), wide, 1_000_000)]
+    # a cyclic table builds no row-offset copy: at N = 2048 that is 32 MiB;
+    # its structure, memoized on the table, is read before tracing starts
+    rng = np.random.default_rng(83)
+    cyc = make_cyclic_lut(2048, Permutation(rng.permutation(2048)))
+    structure(cyc)
+    cases.append((cyc, Distribution(rng.dirichlet(np.ones(2048))), 100_000))
+    for lut, law, trials in cases:
         tracemalloc.start()
         try:
-            empirical_fold(lut, law, SimConfig(seed=1, trials=1_000_000, m=8))
+            empirical_fold(lut, law, SimConfig(seed=1, trials=trials, m=8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 16 * 2**20, (lut.n, peak)
