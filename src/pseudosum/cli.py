@@ -53,14 +53,6 @@ def _read_json(path: str) -> dict:
 
 
 _DIGITS_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
-_ECHO = 40  # characters of an argument that a message shows
-
-
-def _echo(arg) -> str:
-    """shown(arg) for a command-line argument, or the int read from one: its
-    first _ECHO characters and its length when it is longer."""
-    text = shown(arg)
-    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
 
 
 def _to_int(text: str) -> int:
@@ -81,16 +73,16 @@ def _int_arg(text: str, name: str) -> int:
     try:
         return _to_int(text)
     except ValueError:
-        raise ValidityError(f"{name} must be an integer, got {_echo(text)}") from None
+        raise ValidityError(f"{name} must be an integer, got {shown(text)}") from None
 
 
 def _int_option(text: str) -> int:
     """The argparse type of every integer option: malformed text is a usage
-    error (exit 2) with argparse's own message, its echo capped."""
+    error (exit 2) with argparse's own message, its text shown by `shown`."""
     try:
         return _to_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
 def _load_dist(path: str) -> ps.Distribution:
@@ -121,7 +113,7 @@ def _load_lut(args) -> ps.LutTable:
         if gen.startswith("perm:"):
             perm = _load_perm(gen[len("perm:") :])
             return ps.make_cyclic_lut(perm.n, perm)
-        raise ValidityError(f"unknown generator {_echo(gen)}; expected modN, maxN, or perm:FILE")
+        raise ValidityError(f"unknown generator {shown(gen)}; expected modN, maxN, or perm:FILE")
     raise ValidityError("no table given; use --lut FILE or --gen SPEC")
 
 
@@ -276,7 +268,7 @@ def _cmd_doa(args) -> dict:
     perm = _load_perm(args.perm)
     if args.target is not None:
         if args.target < 1 or p.n % args.target != 0:
-            raise ValidityError(f"target {_echo(args.target)} must be a divisor of n={p.n}")
+            raise ValidityError(f"target {shown(args.target)} must be a divisor of n={p.n}")
         law = ps.StableLaw(args.target, p.n // args.target)
         return {"target": {"m": law.m, "r": law.r}, "in_doa": ps.in_doa(p, law, perm)}
     law = ps.doa_attractor(p, perm)

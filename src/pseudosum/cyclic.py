@@ -42,7 +42,7 @@ class Spectrum:
     def __init__(self, f):
         arr = as_array(f, "spectrum", complex)  # a copy: the caller's array stays writable
         if abs(arr[0] - 1.0) > SUM_TOL:
-            raise ValidityError(f"spectrum must have f(0) = 1, got {arr[0]!r}")
+            raise ValidityError(f"spectrum must have f(0) = 1, got {shown(complex(arr[0]))}")
         if (np.abs(arr) > 1.0 + 1e-12).any():
             raise ValidityError("spectrum values must have modulus at most 1")
         mirrored = np.conj(np.concatenate([arr[:1], arr[:0:-1]]))

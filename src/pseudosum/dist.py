@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidityError
+from .errors import ValidityError, shown
 from .lut import (
     LutTable, as_array, as_index, as_int, as_real, find_identity, index_set, is_associative, is_commutative,
     json_fields, same_n,
@@ -40,7 +40,7 @@ class Distribution:
             raise ValidityError("probabilities must be nonnegative")
         total = arr.sum()
         if abs(total - 1.0) > SUM_TOL:
-            raise ValidityError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+            raise ValidityError(f"probabilities sum to {shown(float(total))}, not 1 within {SUM_TOL}")
         if abs(total - 1.0) > arr.size * np.finfo(float).eps:
             arr /= total
         arr.setflags(write=False)
@@ -181,7 +181,7 @@ def limit(
         raise ValidityError("table is not associative; limits are ill-defined")
     table = lut.table
     q = p.p
-    kept = [q]  # the iterates so far; iterate j is the law of the 2^j-fold sum
+    kept = []  # the iterates before q; iterate j is the law of the 2^j-fold sum
     for k in range(1, max_doublings + 1):
         nxt = _convolve_raw(table, np.outer(q, q))
         # self-convolution squares the total mass, so a 1-ulp drift from 1
@@ -195,6 +195,6 @@ def limit(
         for j, prior in enumerate(kept):
             if _tv_raw(nxt, prior) <= tol:
                 return LimitResult(CYCLE, doublings=k, period=k - j)
-        kept.append(nxt)
+        kept.append(q)
         q = nxt
     return LimitResult(MAX_ITERATIONS, doublings=max_doublings)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidityError
+from .errors import ValidityError, shown
 from .dist import SUM_TOL, Distribution
 from .lut import MASS_EPS, as_array, as_index, as_int, same_n
 
@@ -28,7 +28,7 @@ class Cdf:
         if arr.min() < -SUM_TOL or arr.max() > 1.0 + SUM_TOL:
             raise ValidityError("cdf values must lie in [0, 1]")
         if abs(arr[-1] - 1.0) > SUM_TOL:
-            raise ValidityError(f"cdf must end at 1, got {arr[-1]!r}")
+            raise ValidityError(f"cdf must end at 1, got {shown(float(arr[-1]))}")
         arr = np.clip(arr, 0.0, 1.0)
         arr[-1] = 1.0
         arr.setflags(write=False)
@@ -62,10 +62,11 @@ def max_stable_set(n: int) -> list[Distribution]:
 
 def max_doa(p: Distribution, x: int) -> bool:
     """Whether p is attracted to the point mass at x under max folding:
-    no mass above x and mass at x, where a point of mass at most MASS_EPS
-    counts as absent, as in `doa_attractor`."""
+    mass at most MASS_EPS above x, and more at or above x.  Both tails come
+    from one cumulative sum, which never decreases, so exactly one x passes."""
     x = as_index(x, p.n, "x")
-    return bool(p.p[x + 1 :].sum() <= MASS_EPS and p.p[x] > MASS_EPS)
+    tail = np.append(np.cumsum(p.p[::-1])[::-1], 0.0)  # tail[k]: the mass at or above k
+    return bool(tail[x + 1] <= MASS_EPS < tail[x])
 
 
 def max_nth_root(p: Distribution, n_parts: int) -> Distribution:

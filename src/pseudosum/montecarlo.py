@@ -194,7 +194,7 @@ def sample_index(p: Distribution, u: float) -> int:
     capped at the last index of positive mass."""
     x = as_real(u, "u")
     if not x < 1.0:
-        raise ValidityError(f"u must lie in [0, 1), got {u!r}")
+        raise ValidityError(f"u must lie in [0, 1), got {shown(u)}")
     return int(np.searchsorted(_capped_cdf(p.p), x, side="right"))
 
 

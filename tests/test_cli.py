@@ -361,6 +361,7 @@ NAN_LAW = {"n": 2, "p": [float("nan"), 1.0]}
 HALF = {"n": 2, "p": [0.5, 0.5]}
 S3 = {"n": 3, "s": [2, 0, 1]}
 SIZES = "permutation size 3 does not match n=2"
+LONG_NEGATIVE = "got -" + "1" * 39 + "... (4001 characters)"
 
 
 @pytest.mark.parametrize(
@@ -432,6 +433,17 @@ SIZES = "permutation size 3 does not match n=2"
         # a simulation past its draw bound used to run until it was killed
         ({"d": HALF}, ["simulate", "--gen", "mod2", "--dist", "{d}", "--m", "2", "--trials", "1" + "0" * 21,
                        "--seed", "1"], "simulation too large: trials=1000000000000000000000 times m=2"),
+        # an integer the library rejects used to be shown in full
+        ({"d": HALF}, ["power", "--gen", "mod2", "--m", "-" + "1" * 4000, "{d}"], LONG_NEGATIVE),
+        ({"d": HALF}, ["simulate", "--gen", "mod2", "--dist", "{d}", "--m", "2", "--trials", "-" + "1" * 4000,
+                       "--seed", "1"], LONG_NEGATIVE),
+        ({"d": HALF}, ["simulate", "--gen", "mod2", "--dist", "{d}", "--m", "2", "--trials", "10", "--seed", "1",
+                       "--workers", "-" + "1" * 4000], LONG_NEGATIVE),
+        ({"d": HALF}, ["limit", "--gen", "mod2", "--dist", "{d}", "--max-doublings", "-" + "1" * 4000],
+         LONG_NEGATIVE),
+        ({}, ["stable", "--enumerate", "-" + "1" * 4000], LONG_NEGATIVE),
+        ({"d": HALF}, ["max", "--root", "-" + "1" * 4000, "{d}"], LONG_NEGATIVE),
+        ({"d": HALF}, ["max", "--doa", "1" * 4000, "{d}"], "got " + "1" * 40 + "... (4000 characters)"),
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, message):
@@ -442,6 +454,9 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, files, argv, mess
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"pseudosum {argv[0]}: ")
     assert message in captured.err
+    # a message shows at most 40 characters of a long argument, so the line stays short
+    for arg in (a for a in argv if len(a) > 1000):
+        assert arg[:41] not in captured.err and len(captured.err) < 140
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):

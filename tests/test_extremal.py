@@ -98,6 +98,10 @@ def test_max_doa_examples():
     assert max_doa(p, 0) is False  # mass above 0
     with pytest.raises(ValidityError):
         max_doa(p, 2)
+    # each point above 0 carries at most MASS_EPS, and points 4 and 5 more
+    # together: the tail above 4 counts as absent, the tail from 4 does not
+    tiny_top = Distribution([1 - 4.5e-12] + [0.9e-12] * 5)
+    assert [max_doa(tiny_top, x) for x in range(6)] == [False, False, False, False, True, False]
 
 
 def test_max_doa_agrees_with_limit():
@@ -113,6 +117,7 @@ def test_max_doa_agrees_with_limit():
             for x in range(n):
                 expected = res.status == "converged" and res.dist.p[x] > 1 - 1e-9
                 assert max_doa(p, x) == expected
+            assert sum(max_doa(p, x) for x in range(n)) == 1
             if res.status == "converged":
                 top = int(np.argmax(res.dist.p))
                 assert degenerate_doa_necessary(lut, top, p)

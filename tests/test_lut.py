@@ -606,11 +606,15 @@ def test_messages_show_integers_past_the_digit_limit_by_size():
     assert lut_module.shown(3) == "3" and lut_module.shown("2") == "'2'"
     assert lut_module.shown(huge) == "<16610-bit int>" and lut_module.shown(-huge) == "-<16610-bit int>"
     assert lut_module.shown(np.array([huge], dtype=object)) == "<ndarray too long to print>"
+    # any other text is capped at 40 characters
+    assert lut_module.shown("x" * 100) == "'" + "x" * 39 + "... (102 characters)"
+    assert lut_module.shown(10**3999) == "1" + "0" * 39 + "... (4000 characters)"
     for call, message in (
         (lambda: ps.IdDecomposition(a=1, m=huge, lam=0.5, jump=P6), "m=<16610-bit int> must divide n=6"),
         (lambda: ps.nth_root_oracle(P4, huge), "root search too large: <16610-bit int>^2"),
         (lambda: Distribution.uniform(3, support=np.array(huge, dtype=object)), "got <ndarray too long to print>"),
         (lambda: ps.sample_index(P4, np.array([huge], dtype=object)), "got <ndarray too long to print>"),
+        (lambda: ps.sample_index(P4, 10**300), "got 1" + "0" * 39 + "... (301 characters)"),
     ):
         with pytest.raises(ValidityError, match=re.escape(message)):
             call()
