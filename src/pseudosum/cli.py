@@ -117,6 +117,12 @@ def _load_lut(args) -> ps.LutTable:
     raise ValidityError("no table given; use --lut FILE or --gen SPEC")
 
 
+def _given(**options) -> dict:
+    """The options the user gave: an option left out is None, and the
+    library call then takes its own default."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(_fmt({"version": SCHEMA_VERSION, **doc}), indent=2)
     if out:
@@ -164,8 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_limit)
     _add_table_args(sub)
     sub.add_argument("--dist", required=True)
-    sub.add_argument("--tol", type=float)  # None: dist.FIXED_POINT_TOL
-    sub.add_argument("--max-doublings", type=_int_option, default=64)
+    sub.add_argument("--tol", type=float)
+    sub.add_argument("--max-doublings", type=_int_option)
 
     sub = subs.add_parser("stable", help="enumerate stable laws of the cyclic table")
     sub.set_defaults(handler=_cmd_stable)
@@ -185,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--decompose", action="store_true")
     mode.add_argument("--check", action="store_true")
     sub.add_argument("--perm")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=float)
 
     sub = subs.add_parser("spectrum", help="characteristic values of a law")
     sub.set_defaults(handler=_cmd_spectrum)
@@ -206,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=_int_option, required=True)
     sub.add_argument("--trials", type=_int_option, required=True)
     sub.add_argument("--seed", type=_int_option, required=True)
-    sub.add_argument("--workers", type=_int_option, default=1,
+    sub.add_argument("--workers", type=_int_option,
                      help="must be >= 1; changes neither the result nor the work")
     sub.add_argument("--compare-exact", action="store_true")
 
@@ -243,8 +249,7 @@ def _cmd_power(args) -> dict:
 
 def _cmd_limit(args) -> dict:
     lut = _load_lut(args)
-    tol = ps.dist.FIXED_POINT_TOL if args.tol is None else args.tol
-    res = ps.limit(lut, _load_dist(args.dist), tol=tol, max_doublings=args.max_doublings)
+    res = ps.limit(lut, _load_dist(args.dist), **_given(tol=args.tol, max_doublings=args.max_doublings))
     doc = {"status": res.status, "doublings": res.doublings}
     if res.status == ps.CONVERGED:
         doc["limit"] = res.dist.p.tolist()
@@ -279,10 +284,10 @@ def _cmd_id(args) -> dict:
     p = _load_dist(args.dist)
     perm = _load_perm(args.perm)
     if args.decompose:
-        d = ps.decompose_id(p, perm, tol=args.tol)
+        d = ps.decompose_id(p, perm, **_given(tol=args.tol))
         dec = None if d is None else {"a": d.a, "m": d.m, "lambda": d.lam, "jump": d.jump.p.tolist()}
         return {"decomposition": dec}
-    return {"infinitely_divisible": ps.is_infinitely_divisible(p, perm, tol=args.tol)}
+    return {"infinitely_divisible": ps.is_infinitely_divisible(p, perm, **_given(tol=args.tol))}
 
 
 def _cmd_spectrum(args) -> dict:
@@ -311,7 +316,7 @@ def _cmd_simulate(args) -> dict:
     cfg = ps.SimConfig(seed=args.seed, trials=args.trials, m=args.m)
     # the exact law first: a table power rejects fails before any trial runs
     exact = ps.power(lut, p, args.m) if args.compare_exact else None
-    emp = ps.empirical_fold(lut, p, cfg, workers=args.workers)
+    emp = ps.empirical_fold(lut, p, cfg, **_given(workers=args.workers))
     doc = {"n": p.n, "empirical": emp.p.tolist()}
     if exact is not None:
         doc["exact"] = exact.p.tolist()

@@ -29,6 +29,7 @@ from .lut import MASS_EPS, Permutation, _ident, as_array, as_index, as_int, as_r
 ZERO_EPS = 1e-9  # |spectrum value| at or below this counts as a true zero
 _ROOT_CELLS = 2**20  # nth_root_oracle's bound on n_parts^(N // 2) * N^2
 _BRANCH_NODES = 2**17  # decompose_id's bound on the branch prefixes it visits, over all shifts
+_ID_CELLS = 2**24  # decompose_id's bound on (m // 2)^2, the cells of each of its sine tables
 _STABLE_CELLS = 2**20  # enumerate_stable's bound on N * d(N), the masses it returns
 
 
@@ -284,7 +285,9 @@ def decompose_id(
     1e-7 TV.  Raises ValidityError when the search visits more than 2^17
     branch prefixes over all shifts (a few seconds): a law whose smallest
     subgroup spectrum value lies just above ZERO_EPS has a Parseval ball
-    holding millions of them.
+    holding millions of them.  Raises it, before it allocates, when a law
+    that passes the even-part test has (m // 2)^2 > 2^24: the search's
+    tables take about 32 (m // 2)^2 bytes, 0.5 GiB at the bound (m <= 8193).
     """
     tol, n = as_real(tol, "tol"), p.n
     s = _ident(s, n)
@@ -306,6 +309,8 @@ def decompose_id(
     tol_c = tol + 1e-16 * float(np.sum(1.0 / mag))
     if e.size and e.min() < -tol_c:
         return None
+    if (m // 2) ** 2 > _ID_CELLS:
+        raise ValidityError(f"decomposition too large: (m // 2)^2 = {(m // 2) ** 2} for m={m} > {_ID_CELLS} cells")
     # Im psi is odd, so its values at u = 1..half fix it and carry half the
     # Parseval sum; there the odd part of C is o = (2 / m) S Im psi
     half = (m - 1) // 2

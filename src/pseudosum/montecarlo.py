@@ -9,8 +9,8 @@ w = o >> 11 and u = w * 2^-53 in [0, 1); the fold never forms w.
 `empirical_fold` walks the trials in fixed blocks of ``_BLOCK`` and takes
 one fold step at a time within a block, so its block buffers take O(_BLOCK)
 memory whatever the number of trials and the fold length.  Beside them sit
-an O(N) guide table and, on a RAW table folded three or more times, a
-row-offset copy of the table (N^2 indices, the size of the table itself).
+an O(N) guide table and, on a RAW table, a row-offset copy of the table
+with one row adjoined (N^2 + N indices, about the size of the table itself).
 The SplitMix64 state of a block steps in place, and indices come from a
 guide-table inverse CDF (Chen & Asau 1974; Devroye 1986, III.2.4) built
 once per law by counting thresholds per bucket.  Its entries are stored
@@ -20,11 +20,15 @@ until one probe settles every bucket (or to a fixed cap), and the few draws
 in buckets it leaves wide are found by their sentinel index and
 binary-searched.  A table that `structure` recognizes folds in its
 canonical labels: the law is read in label order and the counts go back to
-the elements.  On a max table a trial keeps the running maximum of its
-outputs and draws its rank once, from the largest of its m outputs; on a
-cyclic table it sums the residues it draws, reduced mod N once per block.
-A RAW fold step adds the drawn index to the trial's row offset (row * N)
-and gathers the next one from the table scaled by N.
+the elements.  Every trial takes m identical steps from its kind's
+identity, the fold x_1 (+) ... (+) x_m read as 1 (+) x_1 (+) ... (+) x_m
+with an identity 1 adjoined.  On a max table a trial keeps the running
+maximum of its outputs, from 0, and draws its rank once, from the largest
+of its m outputs; on a cyclic table it sums the residues it draws, from 0,
+reduced mod N once per block.  A RAW fold step adds the drawn index to the
+trial's row offset (row * N) and gathers the next one from the table
+scaled by N, to which a row N with N (+) x = x is adjoined: a trial starts
+at its offset N * N, and a block divides by N once at its end.
 
 A trial stops drawing once it reaches the zero z of the law's support (the
 element with z (+) y = y (+) z = z for every y in it; on a max table, the
@@ -242,7 +246,10 @@ def empirical_fold(
     block keeps a running maximum and draws once.  On a cyclic table it is
     the sum of the drawn residues mod N: each block keeps running sums and
     reduces them once.  Only a RAW table folds through the table itself,
-    via a row-offset copy of it (N^2 indices) when m >= 3.
+    via a row-offset copy of it with a row adjoined as an identity
+    (N^2 + N indices).  Every trial takes m identical steps from its kind's
+    identity: a running maximum output of 0, a residue sum of 0, or
+    the adjoined row.
 
     A trial that reaches the zero z of supp p (z (+) y = y (+) z = z for
     every y in it; on a max table, the top rank of positive mass; on a
@@ -268,10 +275,10 @@ def empirical_fold(
     law = p.p if st.labels is None else p.p[st.labels.inv]
     guide = _InverseCdf(law)
     if kind == RAW:
-        flat = lut.table.ravel()
-        # every step but the last gathers a row offset, table * N, in place of
-        # multiplying the running index by N; the last gathers the index itself
-        rows = (lut.table * n).ravel() if m > 2 else flat
+        # the row offsets y * N of the table and of a row N adjoined as an
+        # identity (N (+) x = x), so a fold step multiplies nothing
+        rows = np.concatenate((lut.table.ravel(), np.arange(n, dtype=np.intp)))
+        rows *= n
     # a trial is short of the zero z of supp p while short(its running value,
     # mark) holds: on a max table, while its running maximum output o draws a
     # rank below z, o < t[z - 1] << 11 (no z if that bound is 2^64); on a
@@ -291,23 +298,23 @@ def empirical_fold(
     q = 0.0 if z is None else law[z]
     steps = (1 << i for i in range((m - 1).bit_length()))
     checks = {j for j in steps if (1 - (1 - q) ** j) * (m - j) >= 2}
+    # every trial starts at its kind's identity: the running maximum output
+    # 0, the residue sum 0, or the row offset N * N of the adjoined row
+    start = n * n if kind == RAW else 0
     # the pre-mix state of draw trial * m + j is seed + (trial * m + j + 1) * gamma
-    # mod 2^64: a block starts at its first trial's state plus i * m * gamma
+    # mod 2^64, and each step adds gamma first: a block starts at
+    # seed + first trial * m * gamma, plus i * m * gamma for its trial i
     stride = np.arange(_BLOCK, dtype=np.uint64) * _U64(m * int(_GAMMA) % 2**64)
     buffers = [np.empty(_BLOCK, dtype=np.uint64) for _ in range(4)]
-    buffers += [np.empty(_BLOCK, dtype=np.intp) for _ in range(3)]
+    buffers += [np.empty(_BLOCK, dtype=np.intp) for _ in range(2)]
     live_mask = np.empty(_BLOCK, dtype=np.bool_)
     counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, cfg.trials, _BLOCK):
         live = min(_BLOCK, cfg.trials - lo)
-        zb, ob, sb, tb, ab, ib, cb = (a[:live] for a in buffers)
-        np.add(stride[:live], _U64(((lo * m + 1) * int(_GAMMA) + cfg.seed) % 2**64), out=zb)
-        _splitmix(zb, ob, tb)
-        if kind != MAX:
-            guide.index(ob, ab, tb)
-            if kind == RAW and m > 1:
-                ab *= n  # the row offset of the running value
-        for j in range(1, m):  # j draws folded so far
+        zb, ob, sb, tb, ab, ib = (a[:live] for a in buffers)
+        np.add(stride[:live], _U64((lo * m * int(_GAMMA) + cfg.seed) % 2**64), out=zb)
+        (ob if kind == MAX else ab).fill(start)
+        for j in range(m):  # j draws folded so far
             if j in checks:
                 # the running value: a max table's maximum output, else the
                 # residue sum or the row offset
@@ -318,7 +325,7 @@ def empirical_fold(
                     _compact(keep, tb, (zb, val))
                     counts[z] += live - left
                     live = left
-                    zb, ob, sb, tb, ab, ib, cb = (a[:live] for a in buffers)
+                    zb, ob, sb, tb, ab, ib = (a[:live] for a in buffers)
                     if not live:
                         break
             zb += _GAMMA
@@ -326,13 +333,16 @@ def empirical_fold(
                 np.maximum(ob, _splitmix(zb, sb, tb), out=ob)
             elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^36 N
                 ab += guide.index(_splitmix(zb, ob, tb), ib, tb)
-            else:
-                np.add(ab, guide.index(_splitmix(zb, ob, tb), ib, tb), out=cb)
-                np.take(rows if j < m - 1 else flat, cb, out=ab, mode="clip")
+            else:  # ab holds the trial's row offset
+                guide.index(_splitmix(zb, ob, tb), ib, tb)
+                ib += ab
+                np.take(rows, ib, out=ab, mode="clip")
         if kind == MAX:
             guide.index(ob, ab, tb)
         elif kind == CYCLIC:
             np.remainder(ab, n, out=ab)
+        else:
+            ab //= n
         counts += np.bincount(ab, minlength=n)
     if st.labels is not None:  # counts by canonical label: give each to its element
         counts = counts[st.labels.s]

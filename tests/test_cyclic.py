@@ -524,6 +524,32 @@ def test_decompose_id_search_has_a_bound(monkeypatch):
         is_infinitely_divisible(p)
 
 
+def test_decompose_id_tables_have_a_bound(monkeypatch):
+    # the search's sine tables take about 32 (m // 2)^2 bytes, 122 MiB at
+    # m = 4000: past the bound a law that passes the even-part test is
+    # refused before they exist, while a law that test rejects still answers
+    rng = np.random.default_rng(84)
+
+    def id_law(n):
+        jump = np.zeros(n)
+        jump[1:] = rng.dirichlet(np.ones(n - 1))
+        return construct_id(IdDecomposition(a=0, m=n, lam=0.5, jump=Distribution(jump)))
+
+    monkeypatch.setattr("pseudosum.cyclic._ID_CELLS", 30**2)
+    assert decompose_id(id_law(61)).m == 61
+    laws = [id_law(62), id_law(4000)]
+    non_id = Distribution(rng.dirichlet(np.ones(4000)))
+    tracemalloc.start()
+    try:
+        for p in laws:
+            with pytest.raises(ValidityError, match=f"decomposition too large: .* > {30**2} cells"):
+                decompose_id(p)
+        assert decompose_id(non_id) is None
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_is_infinitely_divisible_examples():
     for a in range(4):
         assert is_infinitely_divisible(Distribution.point_mass(4, a))

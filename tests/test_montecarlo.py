@@ -12,6 +12,7 @@ from pseudosum import (
     SimConfig,
     ValidityError,
     empirical_fold,
+    find_identity,
     make_cyclic_lut,
     make_max_lut,
     make_mod_lut,
@@ -207,6 +208,12 @@ def test_blocked_fold_matches_all_at_once_kernel():
     q[0] = 0.0
     cases += [(LutTable(Alphabet.canonical(25), relabeled), Distribution(rng.dirichlet(np.full(25, 0.5)))),
               (make_mod_lut(25), Distribution(q / q.sum()))]
+    # a random table with neither an identity nor a zero of the law's
+    # support: every trial starts from the row the fold adjoins
+    free = LutTable(Alphabet.canonical(12), rng.integers(12, size=(12, 12)))
+    q = rng.dirichlet(np.full(12, 0.5))
+    assert find_identity(free) is None and _support_zero(free.table, q) is None
+    cases.append((free, Distribution(q)))
     for lut, p in cases:
         assert p.p[-1] > 0
         for trials in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
@@ -485,20 +492,27 @@ def test_fold_memory_is_bounded():
 
     p = Distribution([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
     wide = Distribution(_capped_wide_law())
-    cases = [(make_max_lut(8), p, 1_000_000), (make_mod_lut(8), p, 1_000_000),
-             (LutTable(Alphabet.canonical(6), s3_table()), Distribution(np.full(6, 1 / 6)), 1_000_000),
-             (make_max_lut(1024), wide, 1_000_000), (make_mod_lut(1024), wide, 1_000_000)]
+    cases = [(make_max_lut(8), p, 1_000_000, 8), (make_mod_lut(8), p, 1_000_000, 8),
+             (LutTable(Alphabet.canonical(6), s3_table()), Distribution(np.full(6, 1 / 6)), 1_000_000, 8),
+             (make_max_lut(1024), wide, 1_000_000, 8), (make_mod_lut(1024), wide, 1_000_000, 8)]
     # a cyclic table builds no row-offset copy: at N = 2048 that is 32 MiB;
     # its structure, memoized on the table, is read before tracing starts
     rng = np.random.default_rng(83)
     cyc = make_cyclic_lut(2048, Permutation(rng.permutation(2048)))
     structure(cyc)
-    cases.append((cyc, Distribution(rng.dirichlet(np.ones(2048))), 100_000))
-    for lut, law, trials in cases:
+    cases.append((cyc, Distribution(rng.dirichlet(np.ones(2048))), 100_000, 8))
+    # a RAW table builds its row offsets, with the adjoined row, in one
+    # allocation of N^2 + N indices (8 MiB at N = 1024) at every m: two, such
+    # as the table times N and then the row appended, would exceed the bound
+    raw = LutTable(Alphabet.canonical(1024), cyclic_max_product(32, 32, rng.permutation(1024)))
+    structure(raw)
+    law = Distribution(rng.dirichlet(np.ones(1024)))
+    cases += [(raw, law, 100_000, m) for m in (1, 2, 8)]
+    for lut, law, trials, m in cases:
         tracemalloc.start()
         try:
-            empirical_fold(lut, law, SimConfig(seed=1, trials=trials, m=8))
+            empirical_fold(lut, law, SimConfig(seed=1, trials=trials, m=m))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, (lut.n, peak)
+        assert peak < 16 * 2**20, (lut.n, m, peak)
