@@ -55,7 +55,7 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _BLOCK = 1 << 14  # trials folded together by empirical_fold
 _GUIDE_DOUBLINGS = 4  # the guide grows to at most 16x its base size 2^ceil(log2 8N)
-_DRAWS = 2**36  # empirical_fold's bound on trials * m: 9.3 min at 2^33 trials, m = 8, mod 8 (2-core x86-64)
+_DRAWS = 2**36  # bound on max(trials, _BLOCK) * m: 9.3 min at 2^33 trials, m = 8, mod 8 (2-core x86-64)
 
 
 @dataclass(frozen=True)
@@ -261,13 +261,17 @@ def empirical_fold(
     the front of its buffers.  Every other trial keeps its own counter-mode
     draws, so the result is unchanged.  `workers` must be >= 1; it is kept for
     compatibility and changes neither the result nor the work.  More than
-    2^36 draws (cfg.trials * cfg.m) raise ValidityError before any block.
+    2^36 draws raise ValidityError before any block, with fewer than
+    ``_BLOCK`` = 2^14 trials counted as a full block (max(cfg.trials, 2^14)
+    * cfg.m): a block step costs about the same whatever its trial count, so
+    the bound also holds m to 2^22 steps.
     """
     same_n("distribution size", lut.n, p.n)
     as_int(workers, "workers", 1)
     n, m = lut.n, cfg.m
-    if cfg.trials * m > _DRAWS:
-        raise ValidityError(f"simulation too large: trials={shown(cfg.trials)} times m={shown(m)} > {_DRAWS} draws")
+    if max(cfg.trials, _BLOCK) * m > _DRAWS:
+        raise ValidityError(f"simulation too large: trials={shown(cfg.trials)} times m={shown(m)}, with fewer than "
+                            f"{_BLOCK} trials counted as {_BLOCK}, > {_DRAWS} draws")
     st = structure(lut)
     kind = st.kind
     # a recognized table folds in its canonical labels (ranks or residues):
@@ -305,8 +309,13 @@ def empirical_fold(
     # mod 2^64, and each step adds gamma first: a block starts at
     # seed + first trial * m * gamma, plus i * m * gamma for its trial i
     stride = np.arange(_BLOCK, dtype=np.uint64) * _U64(m * int(_GAMMA) % 2**64)
-    buffers = [np.empty(_BLOCK, dtype=np.uint64) for _ in range(4)]
-    buffers += [np.empty(_BLOCK, dtype=np.intp) for _ in range(2)]
+    # the six block buffers are rows of one allocation, each 64-byte aligned:
+    # malloc aligns to 16 bytes only, and on buffers 16 or 48 bytes past a
+    # cache line numpy's vector loops took 1.2x as long per fold step
+    pool = np.empty(6 * _BLOCK + 8, dtype=np.uint64)
+    at = -pool.ctypes.data % 64 // 8
+    buffers = list(pool[at:at + 6 * _BLOCK].reshape(6, _BLOCK))
+    buffers[4:] = [a.view(np.intp) for a in buffers[4:]]
     live_mask = np.empty(_BLOCK, dtype=np.bool_)
     counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, cfg.trials, _BLOCK):
@@ -331,7 +340,7 @@ def empirical_fold(
             zb += _GAMMA
             if kind == MAX:  # ob holds the running maximum of the trial's outputs
                 np.maximum(ob, _splitmix(zb, sb, tb), out=ob)
-            elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^36 N
+            elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^22 N
                 ab += guide.index(_splitmix(zb, ob, tb), ib, tb)
             else:  # ab holds the trial's row offset
                 guide.index(_splitmix(zb, ob, tb), ib, tb)

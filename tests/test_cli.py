@@ -565,6 +565,19 @@ def test_module_entry_point(tmp_path, argv, code):
         assert out.stderr.splitlines()[-1] == "pseudosum: error: unrecognized arguments: --bogus"
 
 
+@pytest.mark.parametrize("gen, m, want", [
+    ("mod8", 2**30 - 1, [0.125] * 8),
+    ("max8", 2**64 - 1, [0.0] * 7 + [1.0]),
+])
+def test_power_at_huge_m_exits_0_with_empty_stderr(tmp_path, gen, m, want):
+    # mod 8 used to exit 1 on a total mass of 1 + 9e-8, and max 8 to print
+    # numpy's overflow warning as a second stderr line
+    p = write(tmp_path / "p8.json", {"n": 8, "p": [0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05]})
+    out = python_m("power", "--gen", gen, p, "--m", str(m), capture_output=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert np.allclose(json.loads(out.stdout)["p"], want, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_result_write_exits_1_with_one_line():
     # the result is flushed inside main: a failed write used to surface at

@@ -12,6 +12,7 @@ from pseudosum import (
     ValidityError,
     convolve,
     degenerate_doa_necessary,
+    doa_attractor,
     find_identity,
     is_stable,
     limit,
@@ -166,6 +167,34 @@ def test_power_at_n1024_matches_fft():
     p = Distribution(np.random.default_rng(59).dirichlet(np.ones(n)))
     want = Distribution(np.clip(np.fft.ifft(np.fft.fft(p.p) ** m).real, 0.0, None))
     assert tv_distance(power(make_mod_lut(n), p, m), want) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2**30 - 1, 2**64 - 1, 10**30])
+def test_power_at_huge_m_matches_an_independent_law(m):
+    # a push squares the rounding error of the total mass: undivided, the
+    # mass drifted past SUM_TOL near m = 2^30 and overflowed at 2^64 - 1
+    rng = np.random.default_rng(71)
+    s = Permutation(rng.permutation(64))
+    on_subgroup = np.where(s.s % 4 == 0, rng.dirichlet(np.ones(64)), 0.0)
+    cyclic = [(make_mod_lut(8), Permutation(np.arange(8)), rng.dirichlet(np.ones(8))),
+              (make_cyclic_lut(64, s), s, rng.dirichlet(np.ones(64))),
+              (make_cyclic_lut(64, s), s, on_subgroup / on_subgroup.sum())]
+    for lut, perm, w in cyclic:  # the uniform law on the attracting subgroup
+        p = Distribution(w)
+        law = doa_attractor(p, perm)
+        want = Distribution.uniform(lut.n, np.flatnonzero(perm.s % law.m == 0))
+        assert tv_distance(power(lut, p, m), want) <= 1e-12, (lut.n, law.m)
+    w = rng.dirichlet(np.ones(64))
+    for top in (64, 61):  # CDF^m, with the CDF read off the tail above x
+        p = Distribution(np.where(np.arange(64) < top, w, 0.0) / w[:top].sum())
+        tail = np.concatenate([np.cumsum(p.p[::-1])[-2::-1], [0.0]])
+        want = np.diff(np.exp(float(m) * np.log1p(-tail)), prepend=0.0)
+        assert tv_distance(power(make_max_lut(64), p, m), Distribution(want)) <= 1e-12, top
+    product = LutTable(Alphabet.canonical(16), cyclic_max_product(4, 4, rng.permutation(16)))
+    p = Distribution(rng.dirichlet(np.ones(16)))
+    res = limit(product, p)
+    assert res.status == CONVERGED
+    assert tv_distance(power(product, p, m), res.dist) <= 1e-12
 
 
 def test_tv_distance():
@@ -324,10 +353,11 @@ def test_converged_limits_are_stable_and_satisfy_necessary_condition():
 
 
 def _add_at_convolve_raw(table, p, q):
-    """The table push-forward as np.add.at, the kernel's earlier form."""
+    """The table push-forward as np.add.at, the kernel's earlier form,
+    divided by its sum as the kernel divides every push."""
     r = np.zeros(p.size)
     np.add.at(r, table, np.outer(p, q))
-    return r
+    return r / r.sum()
 
 
 def _add_at_power(table, p, m):
@@ -344,7 +374,8 @@ def _add_at_power(table, p, m):
 def test_kernel_matches_add_at_bitwise():
     # convolve, power and is_stable push laws through the table with one
     # bincount kernel; it must give the bytes of np.add.at, which adds the
-    # same weights in the same row-major order
+    # same weights in the same row-major order.  On a commutative table
+    # convolve pushes the pair in the order of its bytes
     rng = np.random.default_rng(67)
     luts = []
     for n in (2, 5, 16, 33):
@@ -363,12 +394,11 @@ def test_kernel_matches_add_at_bitwise():
             dp = Distribution(rng.dirichlet(np.full(n, alpha)))
             dq = Distribution(rng.dirichlet(np.full(n, alpha)))
             p, q = dp.p, dq.p
-            w = np.outer(p, q)
+            pair = sorted((p, q), key=np.ndarray.tobytes) if comm else (p, q)
+            want = Distribution(_add_at_convolve_raw(t, *pair)).p.tobytes()
+            assert convolve(lut, dp, dq).p.tobytes() == want
             if comm:
-                w = (w + w.T) / 2.0
-            r = np.zeros(n)
-            np.add.at(r, t, w)
-            assert convolve(lut, dp, dq).p.tobytes() == Distribution(r).p.tobytes()
+                assert convolve(lut, dq, dp).p.tobytes() == want
             for m in (1, 2, 3, 7, 64, 1000):
                 assert power(lut, dp, m).p.tobytes() == _add_at_power(t, p, m).tobytes(), (n, m)
             tv = 0.5 * float(np.abs(_add_at_convolve_raw(t, p, p) - p).sum())

@@ -327,19 +327,8 @@ def test_guide_table_is_exact():
     # guide's base size, K = 2^ceil(log2 8N) buckets
     from pseudosum.montecarlo import _capped_cdf
 
-    rng = np.random.default_rng(31)
-    laws = []
-    for r, n in ((0.5, 60), (0.1, 40), (0.9, 300)):  # geometric tails
-        laws.append(r ** np.arange(n))
-    tiny = np.full(12, 1e-13)  # 1e-13 masses between, before and after large ones
-    tiny[[2, 7]] = 0.5
-    laws.append(tiny)
-    for n, k in ((1, 0), (5, 0), (5, 2), (5, 4), (1024, 1000)):  # point masses
-        laws.append(np.eye(n)[k])
-    laws.append(rng.dirichlet(np.full(1024, 0.3)))
-    laws.append(rng.dirichlet(np.full(7, 0.05)))
     splitmix = _ref_uniforms(2024, np.arange(10**5, dtype=np.uint64))
-    for q in laws:
+    for q in _guide_laws():
         p = Distribution(q / q.sum()).p
         cdf = np.cumsum(p)
         k = 1 << (8 * p.size - 1).bit_length()
@@ -355,7 +344,8 @@ def test_guide_table_is_exact():
 
 
 def _guide_laws():
-    """The laws of test_guide_table_is_exact."""
+    """The laws of the guide tests: geometric tails, tiny masses beside large
+    ones, point masses and Dirichlet laws."""
     rng = np.random.default_rng(31)
     laws = []
     for r, n in ((0.5, 60), (0.1, 40), (0.9, 300)):  # geometric tails
@@ -468,19 +458,24 @@ def test_counting_guide_matches_doubling_search():
 
 def test_fold_draws_have_a_bound(monkeypatch):
     # more than _DRAWS draws in all are refused before the first block, at
-    # once: 10^21 draws would take about 10^13 s at 10^8 draws/s
+    # once: 10^21 draws would take about 10^13 s at 10^8 draws/s.  A block
+    # step costs about the same whatever its trial count, so fewer than
+    # _BLOCK trials count as _BLOCK: one trial of m = 2^22 + 1 steps would
+    # take about a minute, and of m = 2^36 about 10 days
     import pseudosum.montecarlo as mc
 
     lut, p = make_mod_lut(2), Distribution([0.5, 0.5])
-    for trials, m in ((10**21, 2), (mc._DRAWS + 1, 1), (1, mc._DRAWS + 1)):
+    for trials, m in ((10**21, 2), (mc._DRAWS + 1, 1), (1, mc._DRAWS + 1), (1, 2**22 + 1)):
         start = time.perf_counter()
         with pytest.raises(ValidityError, match="simulation too large"):
             empirical_fold(lut, p, SimConfig(seed=1, trials=trials, m=m))
         assert time.perf_counter() - start < 1.0
-    monkeypatch.setattr(mc, "_DRAWS", 1000)
-    assert empirical_fold(lut, p, SimConfig(seed=1, trials=500, m=2)).n == 2
-    with pytest.raises(ValidityError, match="trials=501 times m=2 > 1000 draws"):
-        empirical_fold(lut, p, SimConfig(seed=1, trials=501, m=2))
+    monkeypatch.setattr(mc, "_DRAWS", 2 * mc._BLOCK)
+    for trials, m in ((mc._BLOCK, 2), (1, 2)):
+        assert empirical_fold(lut, p, SimConfig(seed=1, trials=trials, m=m)).n == 2
+    for trials, m in ((mc._BLOCK + 1, 2), (1, 3)):
+        with pytest.raises(ValidityError, match=f"trials={trials} times m={m}, .* > {2 * mc._BLOCK} draws"):
+            empirical_fold(lut, p, SimConfig(seed=1, trials=trials, m=m))
 
 
 def test_fold_memory_is_bounded():
