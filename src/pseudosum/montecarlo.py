@@ -8,16 +8,19 @@ w = o >> 11 and u = w * 2^-53 in [0, 1); the fold never forms w.
 
 `empirical_fold` walks the trials in fixed blocks of ``_BLOCK`` and takes
 one fold step at a time within a block, so its block buffers take O(_BLOCK)
-memory whatever the number of trials and the fold length.  Beside them sit
-an O(N) guide table and, on a RAW table, a row-offset copy of the table
-with one row adjoined (N^2 + N indices, about the size of the table itself).
-The SplitMix64 state of a block steps in place, and indices come from a
-guide-table inverse CDF (Chen & Asau 1974; Devroye 1986, III.2.4) built
-once per law by counting thresholds per bucket.  Its entries are stored
-relative to their bucket's start, so one gather, an add of the raw output
-and a shift give the index: the fold converts no float.  The guide grows
-until one probe settles every bucket (or to a fixed cap), and the few draws
-in buckets it leaves wide are found by their sentinel index and
+memory whatever the number of trials and the fold length: five 64-byte
+aligned rows, the same for every kind of table, hold the SplitMix64 state,
+its mixed output, scratch, each trial's running value and the drawn indices.
+Beside them sit an O(N) guide table and, on a RAW table, a row-offset copy
+of the table with one row adjoined (N^2 + N indices, about the size of the
+table itself).  The SplitMix64 state of a block steps in place, and indices
+come from a guide-table inverse CDF (Chen & Asau 1974; Devroye 1986,
+III.2.4) built once per law by counting thresholds per bucket.  Its entries
+are stored relative to their bucket's start, so one gather, an add of the
+raw output and a shift give the index: the fold converts no float.  The
+guide's size is read off the closest pair of thresholds: the smallest at
+which one probe settles every bucket (or a fixed cap), and the few draws in
+buckets it leaves wide are found by their sentinel index and
 binary-searched.  A table that `structure` recognizes folds in its
 canonical labels: the law is read in label order and the counts go back to
 the elements.  Every trial takes m identical steps from its kind's
@@ -54,7 +57,7 @@ _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _BLOCK = 1 << 14  # trials folded together by empirical_fold
-_GUIDE_DOUBLINGS = 4  # the guide grows to at most 16x its base size 2^ceil(log2 8N)
+_GUIDE_DOUBLINGS = 4  # the guide is at most 16x its base size 2^ceil(log2 8N)
 _DRAWS = 2**36  # bound on max(trials, _BLOCK) * m: 9.3 min at 2^33 trials, m = 8, mod 8 (2-core x86-64)
 
 
@@ -72,7 +75,7 @@ class SimConfig:
         object.__setattr__(self, "m", as_int(self.m, "m", 1))
 
 
-def _splitmix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _splitmix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """The SplitMix64 mix of pre-mix states z, written into out; tmp is
     scratch of the same size.  Shifts take Python ints: with numpy 2.4,
     np.right_shift(z, np.uint64(30), out=tmp) took 1.5x as long as with 30."""
@@ -84,7 +87,6 @@ def _splitmix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     out *= _MUL2
     np.right_shift(out, 31, out=tmp)
     out ^= tmp
-    return out
 
 
 def _capped_cdf(p: np.ndarray) -> np.ndarray:
@@ -127,12 +129,15 @@ class _InverseCdf:
     since 2^bits >= 8N.
 
     K is the smallest of 2^ceil(log2 8N) times 1, 2, ..., 2^_GUIDE_DOUBLINGS
-    at which no two adjacent keys share a bucket (an O(N) check per size),
-    or the largest, so memory stays O(N).  A bucket still wide then
-    (thresholds less than 1/K apart, or equal ones around a zero mass) gets
-    the entry (N << S) - (b << S), which no offset carries: the probe returns
-    the sentinel N exactly for the draws that fell in it, and only those are
-    binary-searched, on o >> 11.
+    at which no two adjacent keys share a bucket, or the largest, so memory
+    stays O(N).  Keys a and b share a bucket of 2^s words exactly while
+    a xor b < 2^s, so one O(N) pass finds K: with `near` the smallest xor of
+    adjacent keys, bits = 54 - near.bit_length() clipped to that range (the
+    smallest size when there are fewer than two keys).  A bucket still wide
+    then (thresholds less than 1/K apart, or equal ones around a zero mass)
+    gets the entry (N << S) - (b << S), which no offset carries: the probe
+    returns the sentinel N exactly for the draws that fell in it, and only
+    those are binary-searched, on o >> 11.
     """
 
     def __init__(self, p: np.ndarray):
@@ -144,13 +149,11 @@ class _InverseCdf:
         zeros = int(np.count_nonzero(t == 0))
         # t is sorted, so two thresholds share a bucket iff two adjacent keys do
         keys = t[(t > 0) & (t <= _U64(1 << 53))].astype(np.int64) - 1
+        near = int(np.bitwise_xor(keys[1:], keys[:-1]).min(initial=1 << 53))
         base = (8 * n - 1).bit_length()
-        for bits in range(base, base + _GUIDE_DOUBLINGS + 1):
-            bucket = keys >> (53 - bits)
-            if not (bucket[1:] == bucket[:-1]).any():
-                break
+        bits = min(max(base, 54 - near.bit_length()), base + _GUIDE_DOUBLINGS)
         k, s, shift = 1 << bits, 53 - bits, 64 - bits
-        count = np.bincount(bucket, minlength=k)
+        count = np.bincount(keys >> s, minlength=k)
         g = np.cumsum(count)
         g -= count
         g += zeros
@@ -283,13 +286,16 @@ def empirical_fold(
         # identity (N (+) x = x), so a fold step multiplies nothing
         rows = np.concatenate((lut.table.ravel(), np.arange(n, dtype=np.intp)))
         rows *= n
-    # a trial is short of the zero z of supp p while short(its running value,
-    # mark) holds: on a max table, while its running maximum output o draws a
-    # rank below z, o < t[z - 1] << 11 (no z if that bound is 2^64); on a
-    # cyclic table, where only the support {e} has a zero, while its residue
-    # sum is not 0; otherwise while its row offset is not z * N
+    # a trial's running value is a max table's running maximum output
+    # (uint64), or else its residue sum or row offset (intp); the trial is
+    # short of the zero z of supp p while short(that value, mark) holds: on a
+    # max table, while its running maximum output o draws a rank below z,
+    # o < t[z - 1] << 11 (no z if that bound is 2^64); on a cyclic table,
+    # where only the support {e} has a zero, while its residue sum is not 0;
+    # otherwise while its row offset is not z * N
+    value = np.intp
     if kind == MAX:
-        z = int(np.flatnonzero(law)[-1])
+        z, value = int(np.flatnonzero(law)[-1]), np.uint64
         mark = int(guide.t[z - 1]) << 11 if z else 0
         z, short, mark = (z, np.less, _U64(mark)) if mark < 2**64 else (None, None, None)
     elif kind == CYCLIC:
@@ -309,45 +315,42 @@ def empirical_fold(
     # mod 2^64, and each step adds gamma first: a block starts at
     # seed + first trial * m * gamma, plus i * m * gamma for its trial i
     stride = np.arange(_BLOCK, dtype=np.uint64) * _U64(m * int(_GAMMA) % 2**64)
-    # the six block buffers are rows of one allocation, each 64-byte aligned:
-    # malloc aligns to 16 bytes only, and on buffers 16 or 48 bytes past a
-    # cache line numpy's vector loops took 1.2x as long per fold step
-    pool = np.empty(6 * _BLOCK + 8, dtype=np.uint64)
+    # the five block buffers (SplitMix64 state, mixed output, scratch,
+    # running value, drawn indices) are rows of one allocation, each 64-byte
+    # aligned: malloc aligns to 16 bytes only, and on buffers 16 or 48 bytes
+    # past a cache line numpy's vector loops took 1.2x as long per fold step
+    pool = np.empty(5 * _BLOCK + 8, dtype=np.uint64)
     at = -pool.ctypes.data % 64 // 8
-    buffers = list(pool[at:at + 6 * _BLOCK].reshape(6, _BLOCK))
-    buffers[4:] = [a.view(np.intp) for a in buffers[4:]]
+    buffers = list(pool[at:at + 5 * _BLOCK].reshape(5, _BLOCK))
+    buffers[3:] = buffers[3].view(value), buffers[4].view(np.intp)
     live_mask = np.empty(_BLOCK, dtype=np.bool_)
     counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, cfg.trials, _BLOCK):
         live = min(_BLOCK, cfg.trials - lo)
-        zb, ob, sb, tb, ab, ib = (a[:live] for a in buffers)
+        zb, ob, tb, ab, ib = (a[:live] for a in buffers)
         np.add(stride[:live], _U64((lo * m * int(_GAMMA) + cfg.seed) % 2**64), out=zb)
-        (ob if kind == MAX else ab).fill(start)
+        ab.fill(start)
         for j in range(m):  # j draws folded so far
             if j in checks:
-                # the running value: a max table's maximum output, else the
-                # residue sum or the row offset
-                val = ob if kind == MAX else ab
-                keep = short(val, mark, out=live_mask[:live])
+                keep = short(ab, mark, out=live_mask[:live])
                 left = int(np.count_nonzero(keep))
                 if (live - left) * (m - j) >= 2 * left:
-                    _compact(keep, tb, (zb, val))
+                    _compact(keep, tb, (zb, ab))
                     counts[z] += live - left
                     live = left
-                    zb, ob, sb, tb, ab, ib = (a[:live] for a in buffers)
+                    zb, ob, tb, ab, ib = (a[:live] for a in buffers)
                     if not live:
                         break
             zb += _GAMMA
-            if kind == MAX:  # ob holds the running maximum of the trial's outputs
-                np.maximum(ob, _splitmix(zb, sb, tb), out=ob)
+            _splitmix(zb, ob, tb)
+            if kind == MAX:  # ab holds the running maximum of the trial's outputs
+                np.maximum(ab, ob, out=ab)
             elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^22 N
-                ab += guide.index(_splitmix(zb, ob, tb), ib, tb)
+                ab += guide.index(ob, ib, tb)
             else:  # ab holds the trial's row offset
-                guide.index(_splitmix(zb, ob, tb), ib, tb)
-                ib += ab
-                np.take(rows, ib, out=ab, mode="clip")
-        if kind == MAX:
-            guide.index(ob, ab, tb)
+                np.take(rows, np.add(guide.index(ob, ib, tb), ab, out=ib), out=ab, mode="clip")
+        if kind == MAX:  # the ranks the running maxima draw
+            ab = guide.index(ab, ib, tb)
         elif kind == CYCLIC:
             np.remainder(ab, n, out=ab)
         else:

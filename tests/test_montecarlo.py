@@ -291,6 +291,31 @@ def test_trials_at_the_zero_stop_drawing(monkeypatch):
         assert len(calls) <= 2 * blocks, len(calls)
 
 
+def test_fold_buffers_are_64_byte_aligned(monkeypatch):
+    # on block buffers 16 or 48 bytes past a cache line numpy's vector loops
+    # took 1.2x as long per fold step, so every full-block SplitMix64 pass of
+    # a max, a cyclic and a RAW fold reads and writes 64-byte aligned rows
+    import pseudosum.montecarlo as mc
+    from pseudosum.lut import CYCLIC, MAX, RAW, structure
+
+    splitmix, offsets = mc._splitmix, []
+
+    def recording(z, out, tmp):
+        if z.size == mc._BLOCK:
+            offsets.append([a.ctypes.data % 64 for a in (z, out, tmp)])
+        splitmix(z, out, tmp)
+
+    monkeypatch.setattr(mc, "_splitmix", recording)
+    p = Distribution([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
+    cyc = make_cyclic_lut(8, Permutation([3, 1, 4, 0, 5, 2, 7, 6]))
+    s3 = LutTable(Alphabet.canonical(6), s3_table())
+    for lut, law, kind in ((make_max_lut(8), p, MAX), (cyc, p, CYCLIC), (s3, Distribution(np.full(6, 1 / 6)), RAW)):
+        assert structure(lut).kind == kind
+        offsets.clear()
+        empirical_fold(lut, law, SimConfig(seed=5, trials=2 * mc._BLOCK + 3, m=4))
+        assert len(offsets) >= 2 and all(o == [0, 0, 0] for o in offsets), (kind, offsets)
+
+
 def test_relabeled_tables_fold_in_canonical_labels():
     # a max or cyclic table through a relabeling draws canonical labels (ranks
     # or residues) from the law p[order] and gives the counts back to the
@@ -426,6 +451,31 @@ def _doubling_guide(p):
     return 1 << bits, bool(wide.any()), g, 53 - bits, t
 
 
+def _guide_edge_laws():
+    """Laws at the edges of the guide's size rule, with the size it must
+    take: two keys share a bucket of 2^s words, s = 53 - bits, exactly while
+    their xor is below 2^s.  At every candidate size, behind 0, 5 or 1000
+    zero masses (which move the base size), two keys whose xor is 2^s (apart
+    at 2^bits buckets) or 2^s - 1 (apart only at twice that, or still
+    together at the cap).  Their masses are multiples of 2^-53, so the
+    thresholds are the keys plus 1 exactly.  Plus single keys and two equal
+    keys (a zero mass between two others), which stays wide at the cap."""
+    from pseudosum.montecarlo import _GUIDE_DOUBLINGS
+
+    rng = np.random.default_rng(1974)
+    laws = []
+    for lead in (0, 5, 1000):
+        base = (8 * (lead + 3) - 1).bit_length()
+        for bits in range(base, base + _GUIDE_DOUBLINGS + 1):
+            s = 53 - bits
+            for xor, want in ((1 << s, bits), ((1 << s) - 1, min(bits + 1, base + _GUIDE_DOUBLINGS))):
+                a = int(rng.integers(1, 1 << (52 - s))) << (s + 1)
+                cdf = np.array([a + 1, (a ^ xor) + 1]) * 2.0**-53
+                laws.append((np.concatenate([np.zeros(lead), np.diff(cdf, prepend=0.0, append=1.0)]), 1 << want))
+    laws += [(np.array([0.25, 0.75]), 16), (np.array([0.0, 0.5, 0.5, 0.0]), 32), (np.array([0.5, 0.0, 0.5]), 512)]
+    return laws
+
+
 def test_counting_guide_matches_doubling_search():
     from pseudosum.montecarlo import _InverseCdf
 
@@ -442,6 +492,9 @@ def test_counting_guide_matches_doubling_search():
         laws.append(q / q.sum())
     laws += [np.eye(n)[k] for n, k in ((1, 0), (2, 0), (2, 1), (9, 4), (300, 0), (300, 299))]
     laws.append(_capped_wide_law())
+    for q, k in _guide_edge_laws():
+        assert _InverseCdf(Distribution(q).p).k == k
+        laws.append(q)
     for q in laws:
         p = Distribution(q).p
         k, wide, g, s, t = _doubling_guide(p)
