@@ -6,11 +6,17 @@ histogram is identical across runs and across any partitioning of trials.
 A draw is the raw 64-bit output o, standing for the 53-bit word
 w = o >> 11 and u = w * 2^-53 in [0, 1); the fold never forms w.
 
-`empirical_fold` walks the trials in fixed blocks of ``_BLOCK`` and takes
-one fold step at a time within a block, so its block buffers take O(_BLOCK)
-memory whatever the number of trials and the fold length: five 64-byte
-aligned rows, the same for every kind of table, hold the SplitMix64 state,
-its mixed output, scratch, each trial's running value and the drawn indices.
+`empirical_fold` walks the trials in fixed blocks of ``_BLOCK`` = 2^15 and
+takes one fold step at a time within a block, so its block buffers take
+O(_BLOCK) memory whatever the number of trials and the fold length: five
+64-byte aligned rows of min(_BLOCK, trials) words, the same for every kind
+of table, hold the SplitMix64 state, its mixed output, scratch, each trial's
+running value and the drawn indices.  A fold in which no block can compact
+(see below) runs on two threads when the process may use two CPUs and there
+are two blocks or more: the caller folds every other block and one helper
+thread the rest, each in rows of its own, and their integer counts are
+summed.  On 2^15 words a numpy call works about 10 us outside the GIL, so
+the threads overlap; on the short calls of a compacted block they did not.
 Beside them sit an O(N) guide table and, on a RAW table, a row-offset copy
 of the table with one row adjoined (N^2 + N indices, about the size of the
 table itself).  The SplitMix64 state of a block steps in place, and indices
@@ -39,11 +45,14 @@ top rank of positive mass; on a cyclic table, the identity, when it is the
 whole support), since no later draw can move it: at a few fold
 lengths a block counts its trials at z with one compare and, when that
 saves enough steps, moves the rest to the front of its buffers.  Each
-trial's draws depend on its counter alone, so the histogram is unchanged.
+trial's draws depend on its counter alone, so the histogram is unchanged,
+and so is it on one thread or two.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +61,18 @@ from .errors import ValidityError, shown
 from .dist import Distribution
 from .lut import CYCLIC, MAX, RAW, LutTable, as_int, as_real, same_n, structure
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64
-_BLOCK = 1 << 14  # trials folded together by empirical_fold
+
+def _u64(x: int) -> np.ndarray:
+    """x as a 0-d uint64 array: as a ufunc's constant operand it took less
+    time than a Python int or an np.uint64 (see `_splitmix`)."""
+    return np.full((), x, dtype=np.uint64)
+
+
+_GAMMA = _u64(0x9E3779B97F4A7C15)
+_MUL1 = _u64(0xBF58476D1CE4E5B9)
+_MUL2 = _u64(0x94D049BB133111EB)
+_S27, _S30, _S31 = _u64(27), _u64(30), _u64(31)
+_BLOCK = 1 << 15  # trials folded together by empirical_fold
 _GUIDE_DOUBLINGS = 4  # the guide is at most 16x its base size 2^ceil(log2 8N)
 _DRAWS = 2**36  # bound on max(trials, _BLOCK) * m: 9.3 min at 2^33 trials, m = 8, mod 8 (2-core x86-64)
 
@@ -77,15 +93,17 @@ class SimConfig:
 
 def _splitmix(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """The SplitMix64 mix of pre-mix states z, written into out; tmp is
-    scratch of the same size.  Shifts take Python ints: with numpy 2.4,
-    np.right_shift(z, np.uint64(30), out=tmp) took 1.5x as long as with 30."""
-    np.right_shift(z, 30, out=tmp)
+    scratch of the same size.  Its constants are 0-d uint64 arrays: with
+    numpy 2.4, a shift of 16 elements took 1.3-1.6 us by a Python int,
+    0.75-1.1 us by an np.uint64 and 0.47-0.82 us by a 0-d array, which
+    matters on the short calls of a compacted block."""
+    np.right_shift(z, _S30, out=tmp)
     np.bitwise_xor(z, tmp, out=out)
     out *= _MUL1
-    np.right_shift(out, 27, out=tmp)
+    np.right_shift(out, _S27, out=tmp)
     out ^= tmp
     out *= _MUL2
-    np.right_shift(out, 31, out=tmp)
+    np.right_shift(out, _S31, out=tmp)
     out ^= tmp
 
 
@@ -148,7 +166,7 @@ class _InverseCdf:
         t[finite] = np.ceil(cdf[finite] * 2.0**53)
         zeros = int(np.count_nonzero(t == 0))
         # t is sorted, so two thresholds share a bucket iff two adjacent keys do
-        keys = t[(t > 0) & (t <= _U64(1 << 53))].astype(np.int64) - 1
+        keys = t[(t > 0) & (t <= _u64(1 << 53))].astype(np.int64) - 1
         near = int(np.bitwise_xor(keys[1:], keys[:-1]).min(initial=1 << 53))
         base = (8 * n - 1).bit_length()
         bits = min(max(base, 54 - near.bit_length()), base + _GUIDE_DOUBLINGS)
@@ -165,11 +183,12 @@ class _InverseCdf:
         d <<= 11
         probe = g.view(np.uint64)
         probe <<= shift
-        probe += _U64(1 << shift)
+        probe += _u64(1 << shift)
         probe -= d
         wide = np.flatnonzero(count >= 2).astype(np.uint64)
-        probe[wide] = (_U64(n) - wide) << shift
+        probe[wide] = (_u64(n) - wide) << shift
         self.n, self.k, self.shift, self.t, self.probe = n, k, shift, t, probe
+        self.shift_u64 = _u64(shift)  # the shift as index's operand
         self.any_wide = bool(wide.size)
 
     def index(self, o: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -186,10 +205,10 @@ class _InverseCdf:
         as int64, which it takes without the cast pass that uint64 indices
         cost."""
         idx = np.empty(o.size, dtype=np.intp) if out is None else out
-        bucket = np.right_shift(o, self.shift, out=tmp)
+        bucket = np.right_shift(o, self.shift_u64, out=tmp)
         sums = np.take(self.probe, bucket.view(np.int64), out=idx.view(np.uint64), mode="clip")
         sums += o
-        sums >>= self.shift
+        sums >>= self.shift_u64
         if self.any_wide:  # the sentinel marks the draws in wide buckets
             sel = np.flatnonzero(idx == self.n)
             idx[sel] = np.searchsorted(self.t, o[sel] >> 11, side="right")
@@ -234,6 +253,13 @@ def _support_zero(table: np.ndarray, p: np.ndarray) -> int | None:
     return None
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def empirical_fold(
     lut: LutTable, p: Distribution, cfg: SimConfig, workers: int = 1
 ) -> Distribution:
@@ -262,12 +288,19 @@ def empirical_fold(
     trials at z, and when the k found save k (m - j) steps, at least twice
     the number of trials left, it counts them at z and moves the others to
     the front of its buffers.  Every other trial keeps its own counter-mode
-    draws, so the result is unchanged.  `workers` must be >= 1; it is kept for
-    compatibility and changes neither the result nor the work.  More than
-    2^36 draws raise ValidityError before any block, with fewer than
-    ``_BLOCK`` = 2^14 trials counted as a full block (max(cfg.trials, 2^14)
+    draws, so the result is unchanged.
+
+    Blocks hold ``_BLOCK`` = 2^15 trials.  When no zero check is scheduled,
+    so that every block stays full, a fold of two blocks or more runs on two
+    threads if the process may use two CPUs: the caller folds every other
+    block, one helper thread the rest, and their counts are summed, so the
+    histogram is the same byte for byte.  A helper's exception is raised in
+    the caller, and no thread outlives the call.  `workers` must be >= 1; it
+    is kept for compatibility and changes neither the result nor the work
+    split.  More than 2^36 draws raise ValidityError before any block, with
+    fewer than 2^15 trials counted as a full block (max(cfg.trials, 2^15)
     * cfg.m): a block step costs about the same whatever its trial count, so
-    the bound also holds m to 2^22 steps.
+    the bound also holds m to 2^21 steps.
     """
     same_n("distribution size", lut.n, p.n)
     as_int(workers, "workers", 1)
@@ -297,7 +330,7 @@ def empirical_fold(
     if kind == MAX:
         z, value = int(np.flatnonzero(law)[-1]), np.uint64
         mark = int(guide.t[z - 1]) << 11 if z else 0
-        z, short, mark = (z, np.less, _U64(mark)) if mark < 2**64 else (None, None, None)
+        z, short, mark = (z, np.less, _u64(mark)) if mark < 2**64 else (None, None, None)
     elif kind == CYCLIC:
         z, short, mark = (None if law[1:].any() else 0), np.not_equal, 0
     else:
@@ -314,48 +347,80 @@ def empirical_fold(
     # the pre-mix state of draw trial * m + j is seed + (trial * m + j + 1) * gamma
     # mod 2^64, and each step adds gamma first: a block starts at
     # seed + first trial * m * gamma, plus i * m * gamma for its trial i
-    stride = np.arange(_BLOCK, dtype=np.uint64) * _U64(m * int(_GAMMA) % 2**64)
-    # the five block buffers (SplitMix64 state, mixed output, scratch,
-    # running value, drawn indices) are rows of one allocation, each 64-byte
-    # aligned: malloc aligns to 16 bytes only, and on buffers 16 or 48 bytes
-    # past a cache line numpy's vector loops took 1.2x as long per fold step
-    pool = np.empty(5 * _BLOCK + 8, dtype=np.uint64)
-    at = -pool.ctypes.data % 64 // 8
-    buffers = list(pool[at:at + 5 * _BLOCK].reshape(5, _BLOCK))
-    buffers[3:] = buffers[3].view(value), buffers[4].view(np.intp)
-    live_mask = np.empty(_BLOCK, dtype=np.bool_)
-    counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, cfg.trials, _BLOCK):
-        live = min(_BLOCK, cfg.trials - lo)
-        zb, ob, tb, ab, ib = (a[:live] for a in buffers)
-        np.add(stride[:live], _U64((lo * m * int(_GAMMA) + cfg.seed) % 2**64), out=zb)
-        ab.fill(start)
-        for j in range(m):  # j draws folded so far
-            if j in checks:
-                keep = short(ab, mark, out=live_mask[:live])
-                left = int(np.count_nonzero(keep))
-                if (live - left) * (m - j) >= 2 * left:
-                    _compact(keep, tb, (zb, ab))
-                    counts[z] += live - left
-                    live = left
-                    zb, ob, tb, ab, ib = (a[:live] for a in buffers)
-                    if not live:
-                        break
-            zb += _GAMMA
-            _splitmix(zb, ob, tb)
-            if kind == MAX:  # ab holds the running maximum of the trial's outputs
-                np.maximum(ab, ob, out=ab)
-            elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^22 N
-                ab += guide.index(ob, ib, tb)
-            else:  # ab holds the trial's row offset
-                np.take(rows, np.add(guide.index(ob, ib, tb), ab, out=ib), out=ab, mode="clip")
-        if kind == MAX:  # the ranks the running maxima draw
-            ab = guide.index(ab, ib, tb)
-        elif kind == CYCLIC:
-            np.remainder(ab, n, out=ab)
-        else:
-            ab //= n
-        counts += np.bincount(ab, minlength=n)
+    width = min(_BLOCK, cfg.trials)
+    stride = np.arange(width, dtype=np.uint64) * _u64(m * int(_GAMMA) % 2**64)
+
+    def fold(starts) -> np.ndarray:
+        """The counts of the blocks that start at the given trials."""
+        # the five block buffers (SplitMix64 state, mixed output, scratch,
+        # running value, drawn indices) are rows of one allocation, each 64-byte
+        # aligned: malloc aligns to 16 bytes only, and on buffers 16 or 48 bytes
+        # past a cache line numpy's vector loops took 1.2x as long per fold step
+        pool = np.empty(5 * width + 8, dtype=np.uint64)
+        at = -pool.ctypes.data % 64 // 8
+        buffers = list(pool[at:at + 5 * width].reshape(5, width))
+        buffers[3:] = buffers[3].view(value), buffers[4].view(np.intp)
+        live_mask = np.empty(width, dtype=np.bool_)
+        counts = np.zeros(n, dtype=np.int64)
+        for lo in starts:
+            live = min(width, cfg.trials - lo)
+            zb, ob, tb, ab, ib = (a[:live] for a in buffers)
+            np.add(stride[:live], _u64((lo * m * int(_GAMMA) + cfg.seed) % 2**64), out=zb)
+            ab.fill(start)
+            for j in range(m):  # j draws folded so far
+                if j in checks:
+                    keep = short(ab, mark, out=live_mask[:live])
+                    left = int(np.count_nonzero(keep))
+                    if (live - left) * (m - j) >= 2 * left:
+                        _compact(keep, tb, (zb, ab))
+                        counts[z] += live - left
+                        live = left
+                        zb, ob, tb, ab, ib = (a[:live] for a in buffers)
+                        if not live:
+                            break
+                zb += _GAMMA
+                _splitmix(zb, ob, tb)
+                if kind == MAX:  # ab holds the running maximum of the trial's outputs
+                    np.maximum(ab, ob, out=ab)
+                elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^21 N
+                    ab += guide.index(ob, ib, tb)
+                else:  # ab holds the trial's row offset
+                    np.take(rows, np.add(guide.index(ob, ib, tb), ab, out=ib), out=ab, mode="clip")
+            if kind == MAX:  # the ranks the running maxima draw
+                ab = guide.index(ab, ib, tb)
+            elif kind == CYCLIC:
+                np.remainder(ab, n, out=ab)
+            else:
+                ab //= n
+            counts += np.bincount(ab, minlength=n)
+        return counts
+
+    # a block that compacts makes short numpy calls, on which threads lost to
+    # their GIL handoffs, so only a fold with no zero check runs two: the
+    # caller folds every other block and one helper thread the rest.  On a
+    # 2-core host 3 or 4 threads took longer than 2, and 2 keep the memory
+    # at two blocks' buffers whatever the host's CPU count
+    blocks = range(0, cfg.trials, _BLOCK)
+    if checks or min(_usable_cpus(), len(blocks)) < 2:
+        counts = fold(blocks)
+    else:
+        helped = []
+
+        def helper():
+            try:
+                helped.append(fold(blocks[1::2]))
+            except BaseException as exc:  # re-raised by the caller
+                helped.append(exc)
+
+        thread = threading.Thread(target=helper, name="empirical_fold")
+        thread.start()
+        try:
+            counts = fold(blocks[0::2])
+        finally:
+            thread.join()
+        if isinstance(helped[0], BaseException):
+            raise helped[0]
+        counts += helped[0]
     if st.labels is not None:  # counts by canonical label: give each to its element
         counts = counts[st.labels.s]
     return Distribution(counts / cfg.trials)

@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 
@@ -316,6 +317,106 @@ def test_fold_buffers_are_64_byte_aligned(monkeypatch):
         assert len(offsets) >= 2 and all(o == [0, 0, 0] for o in offsets), (kind, offsets)
 
 
+def _counting_thread_starts(monkeypatch):
+    """Record every thread started from now on: a list of the threads."""
+    import threading
+
+    started, start = [], threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def test_two_threads_fold_the_same_histogram(monkeypatch):
+    # a fold that schedules no zero check splits its blocks between the caller
+    # and one helper thread when two CPUs are usable; every trial's draws
+    # depend on its counter alone, so the bytes match one thread and the
+    # all-at-once reference
+    import pseudosum.montecarlo as mc
+    from pseudosum.lut import CYCLIC, MAX, RAW, structure
+
+    rng = np.random.default_rng(89)
+    cyc = make_cyclic_lut(8, Permutation([3, 1, 4, 0, 5, 2, 7, 6]))
+    s3 = LutTable(Alphabet.canonical(6), s3_table())
+    # the top rank's mass 1e-3 saves no trial 2 steps at m <= 33: no check
+    top = rng.dirichlet(np.full(16, 0.5))
+    top[:-1] *= (1 - 1e-3) / top[:-1].sum()
+    top[-1] = 1e-3
+    cases = [(cyc, Distribution(rng.dirichlet(np.ones(8))), CYCLIC),
+             (s3, Distribution(rng.dirichlet(np.ones(6))), RAW),
+             (make_max_lut(16), Distribution(top), MAX)]
+    started = _counting_thread_starts(monkeypatch)
+    for lut, p, kind in cases:
+        st = structure(lut)
+        assert st.kind == kind and mc._support_zero(lut.table, p.p) in (None, 15)
+        # the cyclic table folds residues: its reference is mod 8 on p in residue order
+        canonical, order = (make_mod_lut(8), st.labels.inv) if kind == CYCLIC else (lut, np.arange(lut.n))
+        for trials in (mc._BLOCK - 1, mc._BLOCK + 1, 3 * mc._BLOCK + 7):
+            for m in (2, 33):
+                cfg = SimConfig(seed=int(rng.integers(2**63)), trials=trials, m=m)
+                got = {}
+                for cpus in (1, 2):
+                    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+                    started.clear()
+                    got[cpus] = empirical_fold(lut, p, cfg).p[order].tobytes()
+                    assert len(started) == (cpus == 2 and trials > mc._BLOCK), (kind, trials, m, cpus)
+                    assert not any(t.is_alive() for t in started)
+                want = _ref_fold(canonical, Distribution(p.p[order]), cfg).p.tobytes()
+                assert got[1] == got[2] == want, (kind, trials, m)
+    # the threads share the guide and the row offsets read-only: handing the
+    # GIL over every few microseconds leaves the bytes as they were
+    started.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = empirical_fold(lut, p, cfg).p[order].tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stressed == want and len(started) == 1
+
+
+def test_folds_with_zero_checks_start_no_thread(monkeypatch):
+    # a block that compacts makes short numpy calls, on which threads lose:
+    # a fold with a scheduled zero check stays on the caller's thread
+    import pseudosum.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    started = _counting_thread_starts(monkeypatch)
+    absorbing, z = _absorbing_lut(np.random.default_rng(5), 7)
+    q = np.full(8, 0.5 / 7)
+    q[z] = 0.5
+    half = Distribution(q)
+    q = np.full(16, 0.5 / 15)
+    q[-1] = 0.5
+    for lut, p in ((absorbing, half), (make_max_lut(16), Distribution(q))):
+        got = empirical_fold(lut, p, SimConfig(seed=3, trials=3 * mc._BLOCK + 7, m=33))
+        assert got.p[p.p.argmax()] > 0.99 and started == []
+
+
+def test_helper_thread_errors_reach_the_caller(monkeypatch):
+    import threading
+
+    import pseudosum.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    splitmix, helpers = mc._splitmix, []
+
+    def failing_off_main(z, out, tmp):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+            raise RuntimeError("helper failed")
+        splitmix(z, out, tmp)
+
+    monkeypatch.setattr(mc, "_splitmix", failing_off_main)
+    with pytest.raises(RuntimeError, match="helper failed"):
+        empirical_fold(make_mod_lut(8), Distribution(np.full(8, 1 / 8)), SimConfig(seed=1, trials=2 * mc._BLOCK, m=4))
+    assert len(helpers) == 1 and not helpers[0].is_alive()
+
+
 def test_relabeled_tables_fold_in_canonical_labels():
     # a max or cyclic table through a relabeling draws canonical labels (ranks
     # or residues) from the law p[order] and gives the counts back to the
@@ -513,12 +614,12 @@ def test_fold_draws_have_a_bound(monkeypatch):
     # more than _DRAWS draws in all are refused before the first block, at
     # once: 10^21 draws would take about 10^13 s at 10^8 draws/s.  A block
     # step costs about the same whatever its trial count, so fewer than
-    # _BLOCK trials count as _BLOCK: one trial of m = 2^22 + 1 steps would
-    # take about a minute, and of m = 2^36 about 10 days
+    # _BLOCK trials count as _BLOCK: one trial of m = 2^21 + 1 steps would
+    # take about half a minute, and of m = 2^36 about 10 days
     import pseudosum.montecarlo as mc
 
     lut, p = make_mod_lut(2), Distribution([0.5, 0.5])
-    for trials, m in ((10**21, 2), (mc._DRAWS + 1, 1), (1, mc._DRAWS + 1), (1, 2**22 + 1)):
+    for trials, m in ((10**21, 2), (mc._DRAWS + 1, 1), (1, mc._DRAWS + 1), (1, 2**22 + 1), (1, 2**21 + 1)):
         start = time.perf_counter()
         with pytest.raises(ValidityError, match="simulation too large"):
             empirical_fold(lut, p, SimConfig(seed=1, trials=trials, m=m))
