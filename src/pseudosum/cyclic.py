@@ -129,14 +129,14 @@ def spectrum(p: Distribution, s: Permutation | None = None) -> Spectrum:
 def from_spectrum(F: Spectrum, s: Permutation | None = None) -> Distribution:
     """Invert a spectrum back to a law on the original labels.
 
-    Rejects inverses that are not probability vectors: imaginary parts or
-    negative masses beyond SUM_TOL.  Tiny negatives are clamped and the
-    vector renormalized.
+    Rejects inverses with negative masses beyond SUM_TOL; tiny negatives are
+    clamped and the vector renormalized.  The imaginary parts need no check:
+    a Spectrum is conjugate symmetric within SUM_TOL, so f is a part whose
+    inverse is real plus one of modulus at most SUM_TOL / 2 everywhere, and
+    every imaginary part is at most SUM_TOL / 2 plus FFT rounding.
     """
     s = _ident(s, F.n)
     q = np.fft.fft(F.f) / F.n
-    if np.abs(q.imag).max() > SUM_TOL:
-        raise ValidityError("spectrum does not invert to a real vector")
     if q.real.min() < -SUM_TOL:
         raise ValidityError("spectrum does not invert to a nonnegative vector")
     return _unrelabeled(q.real, s)

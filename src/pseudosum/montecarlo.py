@@ -8,20 +8,24 @@ w = o >> 11 and u = w * 2^-53 in [0, 1); the fold never forms w.
 
 `empirical_fold` walks the trials in fixed blocks of ``_BLOCK`` = 2^15 and
 takes one fold step at a time within a block, so its block buffers take
-O(_BLOCK) memory whatever the number of trials and the fold length: five
-64-byte aligned rows of min(_BLOCK, trials) words, the same for every kind
-of table, hold the SplitMix64 state, its mixed output, scratch, each trial's
-running value and the drawn indices.  A fold in which no block can compact
+O(_BLOCK) memory whatever the number of trials and the fold length: four
+rows of min(_BLOCK, trials) words, the same for every kind of table, hold
+the SplitMix64 state, its mixed output, the drawn indices and each trial's
+running value.  The index row is also the scratch of the SplitMix64 mix and
+the mask of the zero check below, since no step needs two of them at once,
+and the guide probes in it in place.  A fold in which no block can compact
 (see below) runs on two threads when the process may use two CPUs and there
 are two blocks or more: the caller folds every other block and one helper
-thread the rest, each in rows of its own, and their integer counts are
-summed.  On 2^15 words a numpy call works about 10 us outside the GIL, so
-the threads overlap; on the short calls of a compacted block they did not.
-Beside them sit an O(N) guide table and, on a RAW table, a row-offset copy
-of the table with one row adjoined (N^2 + N indices, about the size of the
-table itself).  The SplitMix64 state of a block steps in place, and indices
-come from a guide-table inverse CDF (Chen & Asau 1974; Devroye 1986,
-III.2.4) built once per law by counting thresholds per bucket.  Its entries
+thread the rest, each in four rows of its own, and their integer counts are
+summed.  The rows of every thread are one allocation per call, each row
+64-byte aligned.  On 2^15 words a numpy call works about 10 us outside the
+GIL, so the threads overlap; on the short calls of a compacted block they
+did not.  Beside the rows sit a shared row of per-trial state offsets, an
+O(N) guide table and, on a RAW table, a row-offset copy of the table with
+one row adjoined (N^2 + N indices, about the size of the table itself).
+The SplitMix64 state of a block steps in place, and indices come from a
+guide-table inverse CDF (Chen & Asau 1974; Devroye 1986, III.2.4) built
+once per law by counting thresholds per bucket.  Its entries
 are stored relative to their bucket's start, so one gather, an add of the
 raw output and a shift give the index: the fold converts no float.  The
 guide's size is read off the closest pair of thresholds: the smallest at
@@ -191,22 +195,25 @@ class _InverseCdf:
         self.shift_u64 = _u64(shift)  # the shift as index's operand
         self.any_wide = bool(wide.size)
 
-    def index(self, o: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-        """The index drawn by each raw output o, written into out (intp);
-        tmp is uint64 scratch of o's size.
+    def index(self, o: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The index drawn by each raw output o, written into out (intp)
+        and returned.
 
-        Passing both keeps a fold step free of block-sized allocations: a
-        block of outputs is 128 KiB, glibc's default mmap threshold, and with
-        that threshold held fixed a fold that allocated its temporaries took
-        1.7x as long.  The probe sums wrap in out's memory read as uint64,
-        and end below 2^63 once shifted.  Every index taken is in range, so
-        np.take runs with mode="clip": with the default mode="raise", out= is
-        copied through a buffer, and bucket numbers (below 2^bits) are read
-        as int64, which it takes without the cast pass that uint64 indices
-        cost."""
+        Passing out keeps a fold step free of block-sized allocations: a
+        block of outputs is 256 KiB, above glibc's default mmap threshold,
+        and with that threshold held fixed a fold that allocated its
+        temporaries took 1.7x as long.  The probe runs in out's memory: the
+        bucket numbers (below 2^bits) are shifted into it, and np.take reads
+        them there as intp indices, with no cast pass, and writes their
+        entries over them as uint64.  np.take checks out= for overlap with
+        the probe only, and reads index j before it writes element j.  The
+        sums then wrap there and end below 2^63 once shifted.  Every index taken is in range, so np.take runs with
+        mode="clip": with the default mode="raise", out= is copied through a
+        buffer."""
         idx = np.empty(o.size, dtype=np.intp) if out is None else out
-        bucket = np.right_shift(o, self.shift_u64, out=tmp)
-        sums = np.take(self.probe, bucket.view(np.int64), out=idx.view(np.uint64), mode="clip")
+        sums = idx.view(np.uint64)
+        np.right_shift(o, self.shift_u64, out=sums)
+        np.take(self.probe, idx, out=sums, mode="clip")
         sums += o
         sums >>= self.shift_u64
         if self.any_wide:  # the sentinel marks the draws in wide buckets
@@ -294,13 +301,17 @@ def empirical_fold(
     so that every block stays full, a fold of two blocks or more runs on two
     threads if the process may use two CPUs: the caller folds every other
     block, one helper thread the rest, and their counts are summed, so the
-    histogram is the same byte for byte.  A helper's exception is raised in
-    the caller, and no thread outlives the call.  `workers` must be >= 1; it
-    is kept for compatibility and changes neither the result nor the work
-    split.  More than 2^36 draws raise ValidityError before any block, with
-    fewer than 2^15 trials counted as a full block (max(cfg.trials, 2^15)
-    * cfg.m): a block step costs about the same whatever its trial count, so
-    the bound also holds m to 2^21 steps.
+    histogram is the same byte for byte.  A thread folds its blocks in four
+    rows of min(2^15, cfg.trials) words (state, output, drawn indices,
+    running value), and the call makes the rows of every thread in one
+    allocation: at 2^15 trials or more, 1 MiB on one thread and 2 MiB on
+    two, beside a shared 256 KiB row of per-trial state offsets.  A helper's
+    exception is raised in the caller, and no thread outlives the call.
+    `workers` must be >= 1; it is kept for compatibility and changes neither
+    the result nor the work split.  More than 2^36 draws raise ValidityError
+    before any block, with fewer than 2^15 trials counted as a full block
+    (max(cfg.trials, 2^15) * cfg.m): a block step costs about the same
+    whatever its trial count, so the bound also holds m to 2^21 steps.
     """
     same_n("distribution size", lut.n, p.n)
     as_int(workers, "workers", 1)
@@ -344,38 +355,52 @@ def empirical_fold(
     # every trial starts at its kind's identity: the running maximum output
     # 0, the residue sum 0, or the row offset N * N of the adjoined row
     start = n * n if kind == RAW else 0
+    # a block that compacts makes short numpy calls, on which threads lost to
+    # their GIL handoffs, so only a fold with no zero check runs two: the
+    # caller folds every other block and one helper thread the rest.  On a
+    # 2-core host 3 or 4 threads took longer than 2, and 2 keep the memory
+    # at two blocks' buffers whatever the host's CPU count
+    blocks = range(0, cfg.trials, _BLOCK)
+    threads = 1 if checks or min(_usable_cpus(), len(blocks)) < 2 else 2
     # the pre-mix state of draw trial * m + j is seed + (trial * m + j + 1) * gamma
     # mod 2^64, and each step adds gamma first: a block starts at
     # seed + first trial * m * gamma, plus i * m * gamma for its trial i
     width = min(_BLOCK, cfg.trials)
     stride = np.arange(width, dtype=np.uint64) * _u64(m * int(_GAMMA) % 2**64)
+    # every thread's four block buffers (SplitMix64 state, mixed output,
+    # drawn indices, running value) are rows of one allocation, each padded
+    # to a multiple of 8 words and so 64-byte aligned: malloc aligns to 16
+    # bytes only, and on buffers 16 or 48 bytes past a cache line numpy's
+    # vector loops took 1.2x as long per fold step (unpadded rows of 32761
+    # words made a mod 8 block of m = 256 take 1.11-1.15x as long as 32760)
+    padded = -(-width // 8) * 8
+    size = 4 * threads * padded
+    pool = np.empty(size + 8, dtype=np.uint64)
+    at = -pool.ctypes.data % 64 // 8
+    pool = pool[at:at + size].reshape(-1, padded)[:, :width]
 
-    def fold(starts) -> np.ndarray:
-        """The counts of the blocks that start at the given trials."""
-        # the five block buffers (SplitMix64 state, mixed output, scratch,
-        # running value, drawn indices) are rows of one allocation, each 64-byte
-        # aligned: malloc aligns to 16 bytes only, and on buffers 16 or 48 bytes
-        # past a cache line numpy's vector loops took 1.2x as long per fold step
-        pool = np.empty(5 * width + 8, dtype=np.uint64)
-        at = -pool.ctypes.data % 64 // 8
-        buffers = list(pool[at:at + 5 * width].reshape(5, width))
-        buffers[3:] = buffers[3].view(value), buffers[4].view(np.intp)
-        live_mask = np.empty(width, dtype=np.bool_)
+    def fold(starts, buffers) -> np.ndarray:
+        """The counts of the blocks that start at the given trials, folded
+        in the four rows of buffers."""
+        buffers = (*buffers[:3], buffers[2].view(np.intp), buffers[3].view(value))
         counts = np.zeros(n, dtype=np.int64)
         for lo in starts:
             live = min(width, cfg.trials - lo)
-            zb, ob, tb, ab, ib = (a[:live] for a in buffers)
+            # the drawn indices ib, read as uint64 (tb), are also the scratch
+            # of SplitMix64 and the zero check's mask, and the mixed output ob
+            # is the spare of a compaction: no step needs two of them at once
+            zb, ob, tb, ib, ab = (a[:live] for a in buffers)
             np.add(stride[:live], _u64((lo * m * int(_GAMMA) + cfg.seed) % 2**64), out=zb)
             ab.fill(start)
             for j in range(m):  # j draws folded so far
                 if j in checks:
-                    keep = short(ab, mark, out=live_mask[:live])
+                    keep = short(ab, mark, out=tb.view(np.bool_)[:live])
                     left = int(np.count_nonzero(keep))
                     if (live - left) * (m - j) >= 2 * left:
-                        _compact(keep, tb, (zb, ab))
+                        _compact(keep, ob, (zb, ab))
                         counts[z] += live - left
                         live = left
-                        zb, ob, tb, ab, ib = (a[:live] for a in buffers)
+                        zb, ob, tb, ib, ab = (a[:live] for a in buffers)
                         if not live:
                             break
                 zb += _GAMMA
@@ -383,11 +408,11 @@ def empirical_fold(
                 if kind == MAX:  # ab holds the running maximum of the trial's outputs
                     np.maximum(ab, ob, out=ab)
                 elif kind == CYCLIC:  # ab holds the sum of the trial's residues, below m N <= 2^21 N
-                    ab += guide.index(ob, ib, tb)
+                    ab += guide.index(ob, ib)
                 else:  # ab holds the trial's row offset
-                    np.take(rows, np.add(guide.index(ob, ib, tb), ab, out=ib), out=ab, mode="clip")
+                    np.take(rows, np.add(guide.index(ob, ib), ab, out=ib), out=ab, mode="clip")
             if kind == MAX:  # the ranks the running maxima draw
-                ab = guide.index(ab, ib, tb)
+                ab = guide.index(ab, ib)
             elif kind == CYCLIC:
                 np.remainder(ab, n, out=ab)
             else:
@@ -395,27 +420,21 @@ def empirical_fold(
             counts += np.bincount(ab, minlength=n)
         return counts
 
-    # a block that compacts makes short numpy calls, on which threads lost to
-    # their GIL handoffs, so only a fold with no zero check runs two: the
-    # caller folds every other block and one helper thread the rest.  On a
-    # 2-core host 3 or 4 threads took longer than 2, and 2 keep the memory
-    # at two blocks' buffers whatever the host's CPU count
-    blocks = range(0, cfg.trials, _BLOCK)
-    if checks or min(_usable_cpus(), len(blocks)) < 2:
-        counts = fold(blocks)
+    if threads == 1:
+        counts = fold(blocks, pool[:4])
     else:
         helped = []
 
         def helper():
             try:
-                helped.append(fold(blocks[1::2]))
+                helped.append(fold(blocks[1::2], pool[4:]))
             except BaseException as exc:  # re-raised by the caller
                 helped.append(exc)
 
         thread = threading.Thread(target=helper, name="empirical_fold")
         thread.start()
         try:
-            counts = fold(blocks[0::2])
+            counts = fold(blocks[0::2], pool[:4])
         finally:
             thread.join()
         if isinstance(helped[0], BaseException):

@@ -75,6 +75,18 @@ def test_public_names_are_pinned():
     assert set(pseudosum.__all__) | set(pseudosum._EXPORTS) <= set(dir(pseudosum))
 
 
+def test_submodules_resolve_as_package_attributes(monkeypatch):
+    # importing a submodule binds it on the package; unbound again, the
+    # package's __getattr__ imports it by name and binds the same module
+    for module in pseudosum._EXPORTS:
+        monkeypatch.delattr(pseudosum, module)
+        assert module not in vars(pseudosum)
+        assert getattr(pseudosum, module) is importlib.import_module(f"pseudosum.{module}")
+        assert vars(pseudosum)[module] is sys.modules[f"pseudosum.{module}"]
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        pseudosum.nonesuch
+
+
 def test_readme_cli_lines_parse():
     # every command line of README's CLI block, its optional parts included,
     # parses, and together the lines reach every subcommand's handler

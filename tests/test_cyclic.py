@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -68,6 +69,8 @@ def test_permutation_validation():
     with pytest.raises(ValidityError, match="permutation entries must be integers"):
         Permutation([1.9, 0.2])  # used to be truncated to [1, 0]
     assert Permutation.from_json({"n": 3, "s": [2, 0, 1.0]}).s.tolist() == [2, 0, 1]
+    assert s.to_json() == {"n": 3, "s": [2, 0, 1]}
+    assert Permutation.from_json(json.loads(json.dumps(s.to_json()))).s.tolist() == [2, 0, 1]
     for doc in (
         {"n": "x", "s": [0, 1]},
         {"n": 2, "s": [0, 1.5]},  # used to be truncated to [0, 1]
@@ -144,6 +147,20 @@ def test_from_spectrum_examples_and_roundtrip():
         p = Distribution(rng.dirichlet(np.ones(n)))
         back = from_spectrum(spectrum(p, s), s)
         assert tv_distance(back, p) <= 1e-12
+
+
+def test_from_spectrum_inverts_asymmetric_spectra_to_laws():
+    # a Spectrum is conjugate symmetric within SUM_TOL, which holds every
+    # imaginary part of its inverse to SUM_TOL / 2 plus rounding: a spectrum
+    # at that tolerance, constant imaginary offset d = SUM_TOL / 2, inverts
+    # to the law it was built from, its imaginary parts dropped
+    rng = np.random.default_rng(74)
+    d = 0.5e-9 * (1 - 1e-6)
+    for n in (1, 2, 5, 64):
+        p = Distribution(rng.dirichlet(np.ones(n)))
+        f = Spectrum(spectrum(p).f * (1 - 1e-12) + 1j * d)
+        assert np.abs(np.fft.fft(f.f) / n).imag.max() <= 0.5e-9
+        assert tv_distance(from_spectrum(f), p) <= 1e-9
 
 
 def test_from_spectrum_rejects_non_probability():

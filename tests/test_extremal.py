@@ -33,6 +33,7 @@ def test_cdf_validation():
         Cdf([-0.2, 1.0])
     p = Distribution([0.1, 0.4, 0.5])
     assert np.allclose(Cdf.from_distribution(p).F, [0.1, 0.5, 1.0])
+    assert Cdf([0.25, 1.0]).n == 2 and Cdf.from_distribution(p).n == 3
     assert tv_distance(Cdf.from_distribution(p).to_distribution(), p) <= 1e-15
 
 

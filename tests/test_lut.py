@@ -514,6 +514,18 @@ def test_cyclic_luts_associative_for_random_permutations():
             assert check_associative(lut) is None
 
 
+def test_reprs_show_the_values():
+    # a repr names the class and its values; but for LutTable's, it reads back
+    names = {"Alphabet": Alphabet, "Distribution": Distribution, "Permutation": Permutation, "Spectrum": Spectrum}
+    for value in (Alphabet([0.5, -2.0, 3.0]), Distribution([0.25, 0.75]), Permutation([2, 0, 1]),
+                  Spectrum([1.0, 0.25 + 0.5j, 0.25 - 0.5j])):
+        text = repr(value)
+        back = eval(text, names)
+        assert type(back) is type(value) and repr(back) == text, text
+    assert repr(Alphabet([0.5, -2.0])) == "Alphabet([0.5, -2.0])"
+    assert repr(make_mod_lut(3)) == "LutTable(n=3)"
+
+
 def test_json_round_trip_and_rejections():
     lut = make_cyclic_lut(3, Permutation([2, 0, 1]))
     doc = lut.to_json()

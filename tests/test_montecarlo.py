@@ -295,14 +295,15 @@ def test_trials_at_the_zero_stop_drawing(monkeypatch):
 def test_fold_buffers_are_64_byte_aligned(monkeypatch):
     # on block buffers 16 or 48 bytes past a cache line numpy's vector loops
     # took 1.2x as long per fold step, so every full-block SplitMix64 pass of
-    # a max, a cyclic and a RAW fold reads and writes 64-byte aligned rows
+    # a max, a cyclic and a RAW fold reads and writes 64-byte aligned rows,
+    # also when the trial count, and so the row width, is not a multiple of 8
     import pseudosum.montecarlo as mc
     from pseudosum.lut import CYCLIC, MAX, RAW, structure
 
-    splitmix, offsets = mc._splitmix, []
+    splitmix, width, offsets = mc._splitmix, None, []
 
     def recording(z, out, tmp):
-        if z.size == mc._BLOCK:
+        if z.size == width:
             offsets.append([a.ctypes.data % 64 for a in (z, out, tmp)])
         splitmix(z, out, tmp)
 
@@ -312,9 +313,72 @@ def test_fold_buffers_are_64_byte_aligned(monkeypatch):
     s3 = LutTable(Alphabet.canonical(6), s3_table())
     for lut, law, kind in ((make_max_lut(8), p, MAX), (cyc, p, CYCLIC), (s3, Distribution(np.full(6, 1 / 6)), RAW)):
         assert structure(lut).kind == kind
-        offsets.clear()
-        empirical_fold(lut, law, SimConfig(seed=5, trials=2 * mc._BLOCK + 3, m=4))
-        assert len(offsets) >= 2 and all(o == [0, 0, 0] for o in offsets), (kind, offsets)
+        for trials in (2 * mc._BLOCK + 3, 1001):
+            width = min(trials, mc._BLOCK)
+            offsets.clear()
+            empirical_fold(lut, law, SimConfig(seed=5, trials=trials, m=4))
+            assert len(offsets) >= 2 and all(o == [0, 0, 0] for o in offsets), (kind, trials, offsets)
+
+
+def test_fold_peak_memory(monkeypatch):
+    # a block folds in four rows (state, output, drawn indices, running
+    # value), and one allocation holds every thread's rows: beside the
+    # shared stride row, a mod 8 fold of 2^15-trial blocks peaks near 5 rows
+    # of 256 KiB on one CPU and 9 on two
+    import pseudosum.montecarlo as mc
+    from pseudosum.lut import structure
+
+    lut = make_mod_lut(8)
+    structure(lut)
+    p = Distribution([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
+    for cpus, bound in ((1, 1344), (2, 2368)):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            empirical_fold(lut, p, SimConfig(seed=1, trials=3 * mc._BLOCK + 7, m=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 1024, (cpus, peak)
+
+
+def test_guide_index_probes_in_place():
+    # index(o, out) shifts the bucket numbers into out and gathers their
+    # entries over them: it returns out itself and allocates nothing of o's
+    # size (a guide with no wide bucket, whose draws need no search)
+    from pseudosum.montecarlo import _InverseCdf
+
+    p = np.array([0.3, 0.05, 0.1, 0.2, 0.05, 0.1, 0.15, 0.05])
+    guide = _InverseCdf(p)
+    assert not guide.any_wide
+    u = _ref_uniforms(9, np.arange(1 << 15, dtype=np.uint64))
+    want = np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), 7)
+    o = (u * 2.0**64).astype(np.uint64)
+    out = np.empty(o.size, dtype=np.intp)
+    tracemalloc.start()
+    try:
+        got = guide.index(o, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out and np.array_equal(got, want)
+    assert peak < 4096, peak
+
+
+def test_usable_cpus_fallbacks(monkeypatch):
+    # the affinity mask where the platform has one, else the CPU count, and
+    # one CPU when even that is unknown
+    import os
+
+    import pseudosum.montecarlo as mc
+
+    if hasattr(os, "sched_getaffinity"):
+        assert mc._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mc._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc._usable_cpus() == 1
 
 
 def _counting_thread_starts(monkeypatch):
